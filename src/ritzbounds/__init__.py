@@ -48,9 +48,6 @@ from .densela import (
     write_matrix_text,
 )
 from .models import (
-    KappaFamily,
-    PeriodicModel,
-    SchrodingerModel,
     fem_assemble,
     fem_ritz,
     hkappa_matrix,

@@ -45,7 +45,6 @@ from .defect import (
     etas_schur,
     moment_matrices,
     p_diagonal_split,
-    ritz,
 )
 from .densela import NormKind, as_symmetric, sym_eig, ui_norm
 from .errors import HypothesisError, SingularOperatorError
@@ -352,8 +351,8 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     """
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
-    rd = ritz(hm, subspace)
     split = p_diagonal_split(hm, subspace)
+    rd = split.ritz
     ds = etas_schur(split)
     psi, omega = moment_matrices(hm, rd)
     ds_moments = etas_moments(psi, omega)
@@ -400,10 +399,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
         "tk_gap": bool(len(lambda_ref) > 1 and float(lambda_ref[1]) > float(mu[0])),
     }
 
-    # unscaled coupling block for the absolute bounds
-    u = split.basis[:, :m]
-    v = split.basis[:, m:]
-    k_raw = v.T @ hm.entries @ u
+    k_raw = split.coupling
     abs_gap_ok = ui_norm(k_raw, NormKind.SPECTRAL) < lam_mp1 - float(mu[-1])
     flags["abs_gap"] = bool(abs_gap_ok)
 
@@ -445,12 +441,15 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     else:
         aggregates["abs_cluster"] = None
 
+    tk_rel = None
     if flags["tk_gap"]:
         u1 = rd.vectors[:, 0]
         res = hm.entries @ u1 - float(mu[0]) * u1
-        aggregates["classical_tk_lower"] = classical_temple_kato(
-            float(mu[0]), float(res @ res), float(lambda_ref[1])
-        )
+        res_sq, lam_2 = float(res @ res), float(lambda_ref[1])
+        aggregates["classical_tk_lower"] = classical_temple_kato(float(mu[0]), res_sq, lam_2)
+        # the relative drop directly: mu minus the lower bound cancels to
+        # zero once the drop falls below the rounding of mu
+        tk_rel = res_sq / (lam_2 - float(mu[0])) / float(mu[0])
     else:
         aggregates["classical_tk_lower"] = None
 
@@ -502,8 +501,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
                     valid=flags["mu_below_next"] and flags["cluster_multiplicity"],
                 )
             )
-    if aggregates["classical_tk_lower"] is not None:
-        tk_rel = (float(mu[0]) - aggregates["classical_tk_lower"]) / float(mu[0])
+    if tk_rel is not None:
         entries.append(
             BoundEntry(index=1, theorem="classical_TK", lower=0.0, upper=tk_rel, valid=flags["tk_gap"])
         )

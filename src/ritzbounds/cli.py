@@ -9,8 +9,9 @@ fem-periodic  mesh-refinement reference table for the anti-periodic model
 verify        run the named property checks on fixed seeds
 
 Exit codes: 0 success, 1 verification failure or unexpected error,
-2 usage, 3 input file missing, 4 matrix parse error, 5 operator not
-positive definite, 6 hypothesis failure under --strict.
+2 usage, 3 input file missing, 4 matrix parse error (including a nan or
+inf entry), 5 operator not positive definite, 6 hypothesis failure under
+--strict.
 
 Tables print scientific notation with 4 digits; csv and json carry full
 precision and are byte-stable under parse/re-serialize round trips.
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
-    except RitzBoundsError as exc:
+    except (RitzBoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -31,8 +31,8 @@ from .densela import (
     SymmetricMatrix,
     as_symmetric,
     cholesky_lower,
-    cholesky_solve,
     singular_values,
+    solve_lower,
     sym_eig,
 )
 from .errors import NotPositiveDefiniteError, SingularOperatorError
@@ -151,22 +151,28 @@ class SplitOperator:
 
     ``h_p`` is the block-diagonal part diag(Xi, W); ``k_s`` is the
     (n-m) x m coupling block of the scaled defect operator, whose nonzero
-    singular values are the nonzero approximation defects; ``w`` is the
-    complement block of H.  The eigendecomposition of W is kept because
-    every downstream resolvent expression reuses it.
+    singular values are the nonzero approximation defects; ``coupling`` is
+    the unscaled block ``V^T H U``; ``w`` is the complement block of H and
+    ``ritz`` the Ritz data the basis starts with.  The eigendecomposition
+    of W is kept because every downstream resolvent expression reuses it.
     """
 
     h_p: SymmetricMatrix
     k_s: np.ndarray
+    coupling: np.ndarray
     w: SymmetricMatrix
     basis: np.ndarray
-    mu: np.ndarray
+    ritz: RitzData
     w_values: np.ndarray = field(repr=False)
     w_vectors: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.ritz.mu
 
     @property
     def m(self) -> int:
@@ -241,9 +247,10 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     return SplitOperator(
         h_p=SymmetricMatrix(h_p),
         k_s=k_s,
+        coupling=coupling,
         w=w,
         basis=np.hstack([u, v]),
-        mu=rd.mu,
+        ritz=rd,
         w_values=w_values,
         w_vectors=w_vectors,
     )
@@ -265,18 +272,23 @@ def etas_schur(split: SplitOperator) -> DefectSpectrum:
 def moment_matrices(h, rd: RitzData):
     """Inverse-moment matrix Psi and the Galerkin-error Gram matrix Omega.
 
-    ``Psi[i, j] = (u_i, H^{-1} u_j)`` via Cholesky solves.  For Ritz
-    vectors, expanding the energy inner product of the Galerkin errors
-    collapses to ``Omega = Psi - diag(1/mu)``; the quadruple-product
+    With the Cholesky factor ``H = L L^T``, ``Psi[i, j] = (u_i, H^{-1} u_j)``
+    is the Gram matrix of ``X = L^-1 U``.  For Ritz vectors ``Omega``
+    equals ``Psi - diag(1/mu)``, but that difference cancels to noise (and
+    can turn negative) once the subspace is nearly invariant.  It is formed
+    instead from the residuals ``R = H U - U M``, ``M = diag(mu)``, as
+    ``M^-1 R^T H^-1 R M^-1``, the Gram matrix of ``Y = L^-1 R M^-1``, so
+    both are positive semidefinite by construction.  The quadruple-product
     definition is kept as a test oracle.
     """
     hm = as_symmetric(h)
+    u = rd.vectors
     ell = cholesky_lower(hm.entries, what="operator")
-    x = cholesky_solve(ell, rd.vectors)
-    psi = rd.vectors.T @ x
-    psi = SymmetricMatrix(0.5 * (psi + psi.T))
-    omega = SymmetricMatrix(psi.entries - np.diag(1.0 / rd.mu))
-    return psi, omega
+    z = solve_lower(ell, np.hstack([u, hm.entries @ u - u * rd.mu]))
+    x, y = z[:, : rd.m], z[:, rd.m :] / rd.mu
+    psi = x.T @ x
+    omega = y.T @ y
+    return SymmetricMatrix(0.5 * (psi + psi.T)), SymmetricMatrix(0.5 * (omega + omega.T))
 
 
 def etas_moments(psi, omega) -> DefectSpectrum:

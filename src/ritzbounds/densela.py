@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,10 +68,10 @@ class NormKind(enum.Enum):
 class SymmetricMatrix:
     """Immutable dense real symmetric matrix.
 
-    The constructor admits input whose asymmetry is at most 1e-12 relative
-    to the largest entry and symmetrizes it by averaging; anything worse is
-    rejected.  The stored array is read-only, so instances are safe to
-    share between threads.
+    The constructor admits finite input whose asymmetry is at most 1e-12
+    relative to the largest entry and symmetrizes it by averaging; anything
+    worse is rejected.  The stored array is read-only, so instances are
+    safe to share between threads.
     """
 
     entries: np.ndarray
@@ -79,6 +80,8 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite (found nan or inf)")
         if a.size:
             scale = np.max(np.abs(a))
             asym = np.max(np.abs(a - a.T))
@@ -102,11 +105,6 @@ class SymmetricMatrix:
         except NotPositiveDefiniteError:
             return False
         return True
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries if not copy else self.entries.copy()
-        return self.entries.astype(dtype)
 
 
 def as_symmetric(a) -> SymmetricMatrix:
@@ -302,11 +300,6 @@ def solve_lower_t(ell: np.ndarray, b) -> np.ndarray:
     return x
 
 
-def cholesky_solve(ell: np.ndarray, b) -> np.ndarray:
-    """Solve A x = b given the lower Cholesky factor of A."""
-    return solve_lower_t(ell, solve_lower(ell, b))
-
-
 def gen_sym_eig(a, b):
     """Generalized symmetric-definite eigenproblem A v = lambda B v.
 
@@ -454,8 +447,9 @@ def write_matrix_text(path, a, header_comment: str | None = None) -> None:
 def read_matrix_text(source) -> np.ndarray:
     """Read a matrix from the plain text format.
 
-    ``source`` is a path or an open text stream.  Malformed content raises
-    MatrixParseError with the 1-based line and token column.
+    ``source`` is a path or an open text stream.  Malformed content,
+    including a ``nan`` or ``inf`` entry, raises MatrixParseError with the
+    1-based line and token column.
     """
     if isinstance(source, io.TextIOBase):
         text = source.read()
@@ -501,13 +495,16 @@ def read_matrix_text(source) -> np.ndarray:
         row = []
         for col, tok in enumerate(tokens, start=1):
             try:
-                row.append(float(tok))
+                value = float(tok)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise MatrixParseError(
                     f"{name}:{lineno}: bad value {tok!r} at column {col}",
                     line=lineno,
                     column=col,
-                ) from None
+                )
+            row.append(value)
         rows.append(row)
         if len(rows) > shape[0]:
             raise MatrixParseError(

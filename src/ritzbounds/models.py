@@ -23,7 +23,6 @@ lowest modes at ``alpha = 0.2499``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,23 +39,6 @@ PI = math.pi
 # ---------------------------------------------------------------------------
 # 3x3 coupling family
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KappaFamily:
-    """Parameter record for the 3x3 coupling family (kappa > 0)."""
-
-    kappa: float
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-
-    def matrix(self) -> SymmetricMatrix:
-        return hkappa_matrix(self.kappa)
-
-    def reference(self) -> "KappaReference":
-        return hkappa_reference(self.kappa)
 
 
 class KappaReference(NamedTuple):
@@ -104,26 +86,6 @@ def hkappa_reference(kappa: float) -> KappaReference:
 # ---------------------------------------------------------------------------
 # Large-coupling Schroedinger model
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchrodingerModel:
-    """Half-line Schroedinger model: coupling kappa > 0, mode index q >= 1."""
-
-    kappa: float
-    q: int = 1
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.q < 1:
-            raise ValueError(f"mode index must be >= 1, got {self.q}")
-
-    def eigenvalue(self) -> float:
-        return schrodinger_lambda(self.kappa, self.q)
-
-    def limit_eigenvalue(self) -> float:
-        return (self.q * PI) ** 2
 
 
 def schrodinger_lambda(kappa: float, q: int = 1) -> float:
@@ -258,53 +220,18 @@ DEFAULT_ALPHA = 0.2499
 DEFAULT_K_TRUNC = 20000
 
 
-@dataclass(frozen=True)
-class PeriodicModel:
-    """Anti-periodic model parameters: phase theta, shift alpha, mesh count."""
-
-    n_mesh: int
-    theta: float = PI
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if self.n_mesh < 4:
-            raise ValueError(f"mesh count must be >= 4, got {self.n_mesh}")
-        lam1, _ = periodic_exact(self.theta, self.alpha, 1)
-        if lam1 <= 0:
-            raise ValueError(f"lowest eigenvalue {lam1} is not positive")
-
-    def assemble(self):
-        return fem_assemble(self.n_mesh, self.theta, self.alpha)
-
-    def ritz(self, m: int = 2) -> RitzData:
-        return fem_ritz(self.n_mesh, self.theta, self.alpha, m=m)
-
-    def table_row(self, k_trunc: int = DEFAULT_K_TRUNC):
-        return table1_row(self.n_mesh, self.theta, self.alpha, k_trunc)
-
-
-def _check_anti_periodic(theta: float) -> None:
-    if abs(theta - PI) > 1e-12:
-        raise ValueError(
-            f"only the anti-periodic phase theta = pi is supported in real "
-            f"arithmetic, got theta = {theta}"
-        )
-
-
-def periodic_exact(theta: float, alpha: float, k: int):
+def periodic_exact(alpha: float, k: int):
     """k-th smallest exact eigenvalue and its integer frequency.
 
-    The eigenvalues are ``(j + theta/(2 pi))^2 - alpha`` over integer
-    frequencies j; ties (the theta = pi double eigenvalues) are broken by
-    frequency.  Raises when the requested eigenvalue is not positive.
+    The eigenvalues are ``(j + 1/2)^2 - alpha`` over integer frequencies j;
+    ties (every eigenvalue is double) are broken by frequency.  Raises when
+    the requested eigenvalue is not positive.
     """
     if k < 1:
         raise ValueError(f"eigenvalue index must be >= 1, got {k}")
-    if not 0.0 <= theta <= PI:
-        raise ValueError(f"phase must lie in [0, pi], got {theta}")
     span = k + 3
     freqs = np.arange(-span, span + 1)
-    values = (freqs + theta / (2.0 * PI)) ** 2 - alpha
+    values = (freqs + 0.5) ** 2 - alpha
     order = np.lexsort((freqs, values))
     lam = float(values[order[k - 1]])
     if lam <= 0.0:
@@ -314,14 +241,13 @@ def periodic_exact(theta: float, alpha: float, k: int):
     return lam, int(freqs[order[k - 1]])
 
 
-def fem_assemble(n_mesh: int, theta: float = PI, alpha: float = DEFAULT_ALPHA):
+def fem_assemble(n_mesh: int, alpha: float = DEFAULT_ALPHA):
     """P1 stiffness (with the -alpha mass shift) and consistent mass matrix.
 
     Uniform mesh of [0, 2 pi] with n_mesh intervals; the anti-periodic
     identification glues the last node to minus the first, which flips the
     sign of the wrap-around couplings.
     """
-    _check_anti_periodic(theta)
     if n_mesh < 4:
         raise ValueError(f"mesh count must be >= 4, got {n_mesh}")
     h = 2.0 * PI / n_mesh
@@ -342,15 +268,13 @@ def fem_assemble(n_mesh: int, theta: float = PI, alpha: float = DEFAULT_ALPHA):
     )
 
 
-def fem_ritz(
-    n_mesh: int, theta: float = PI, alpha: float = DEFAULT_ALPHA, m: int = 2
-) -> RitzData:
+def fem_ritz(n_mesh: int, alpha: float = DEFAULT_ALPHA, m: int = 2) -> RitzData:
     """Lowest m Rayleigh-Ritz modes of the discretized pencil.
 
     The returned vectors are nodal coefficient columns, orthonormal in the
     mass inner product, which is exactly unit norm in the function space.
     """
-    stiff, mass = fem_assemble(n_mesh, theta, alpha)
+    stiff, mass = fem_assemble(n_mesh, alpha)
     values, vectors = gen_sym_eig(stiff, mass)
     if values[0] <= 0:
         raise ValueError(
@@ -406,7 +330,6 @@ def _moment_tail_bound(coeffs_a, coeffs_b, n_mesh: int, k_trunc: int) -> float:
 def periodic_hinv_moment(
     psi_coeffs,
     phi_coeffs,
-    theta: float = PI,
     alpha: float = DEFAULT_ALPHA,
     k_trunc: int = DEFAULT_K_TRUNC,
     tol: float | None = None,
@@ -420,7 +343,6 @@ def periodic_hinv_moment(
     truncated remainder; when ``tol`` is given and the bound exceeds it,
     a TruncationError suggests a larger k_trunc.
     """
-    _check_anti_periodic(theta)
     if not alpha < 0.25:
         raise ValueError(
             f"shift must keep the spectrum positive (alpha < 1/4), got {alpha}"
@@ -447,10 +369,7 @@ def periodic_hinv_moment(
 
 
 def periodic_moment_matrix(
-    rd: RitzData,
-    theta: float = PI,
-    alpha: float = DEFAULT_ALPHA,
-    k_trunc: int = DEFAULT_K_TRUNC,
+    rd: RitzData, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT_K_TRUNC
 ) -> SymmetricMatrix:
     """Inverse-moment matrix of the discrete Ritz vectors, entry by entry."""
     m = rd.m
@@ -458,19 +377,14 @@ def periodic_moment_matrix(
     for i in range(m):
         for j in range(i, m):
             value = periodic_hinv_moment(
-                rd.vectors[:, i], rd.vectors[:, j], theta, alpha, k_trunc
+                rd.vectors[:, i], rd.vectors[:, j], alpha, k_trunc
             ).value
             psi[i, j] = value
             psi[j, i] = value
     return SymmetricMatrix(psi)
 
 
-def table1_row(
-    n_mesh: int,
-    theta: float = PI,
-    alpha: float = DEFAULT_ALPHA,
-    k_trunc: int = DEFAULT_K_TRUNC,
-):
+def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT_K_TRUNC):
     """Reference-table row for the two lowest anti-periodic modes.
 
     Returns ``(lower, middle, upper)``:
@@ -484,21 +398,21 @@ def table1_row(
     values beyond the cluster; the smallest admissible candidate is the
     exact third eigenvalue.
     """
-    stiff, mass = fem_assemble(n_mesh, theta, alpha)
+    stiff, mass = fem_assemble(n_mesh, alpha)
     values, vectors = gen_sym_eig(stiff, mass)
     if values[0] <= 0:
         raise ValueError(f"discrete pencil not positive definite at N={n_mesh}")
     mu = values[:2]
     rd = RitzData(mu=mu, vectors=vectors[:, :2], xi=SymmetricMatrix(np.diag(mu)))
-    psi = periodic_moment_matrix(rd, theta, alpha, k_trunc)
+    psi = periodic_moment_matrix(rd, alpha, k_trunc)
     omega = SymmetricMatrix(psi.entries - np.diag(1.0 / mu))
     ds = etas_moments(psi, omega)
 
-    lam1, _ = periodic_exact(theta, alpha, 1)
+    lam1, _ = periodic_exact(alpha, 1)
     lower = float(np.sqrt(((ds.etas**2) ** 2).sum()))
     middle = float(np.sqrt(((1.0 - lam1 / mu) ** 2).sum()))
 
-    exact_rest = [periodic_exact(theta, alpha, k)[0] for k in range(3, 9)]
+    exact_rest = [periodic_exact(alpha, k)[0] for k in range(3, 9)]
     candidates = np.concatenate([np.asarray(exact_rest), values[2:]])
     g = relative_gap_gq(candidates, lam1)
     upper = cluster_upper_bound(ds, g, "frobenius")

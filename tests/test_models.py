@@ -10,9 +10,6 @@ from ritzbounds.defect import etas_schur, p_diagonal_split
 from ritzbounds.densela import sym_eig
 from ritzbounds.errors import HypothesisError, TruncationError
 from ritzbounds.models import (
-    KappaFamily,
-    PeriodicModel,
-    SchrodingerModel,
     fem_assemble,
     fem_ritz,
     hkappa_matrix,
@@ -96,8 +93,6 @@ class TestKappaFamily:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            KappaFamily(0.0)
-        with pytest.raises(ValueError):
             hkappa_matrix(-1.0)
 
 
@@ -176,44 +171,37 @@ class TestSchrodinger:
         with pytest.raises(HypothesisError):
             schrodinger_bounds(4.0)
 
-    def test_model_record(self):
-        m = SchrodingerModel(kappa=100.0, q=1)
-        assert m.limit_eigenvalue() == pytest.approx(PI**2)
-        assert m.eigenvalue() < m.limit_eigenvalue()
+    def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            SchrodingerModel(kappa=-1.0)
+            schrodinger_lambda(-1.0)
+        with pytest.raises(ValueError):
+            schrodinger_lambda(100.0, 0)
 
 
 class TestPeriodicExact:
     def test_nearly_singular_choice(self):
-        lam1, f1 = periodic_exact(PI, 0.2499, 1)
-        lam2, f2 = periodic_exact(PI, 0.2499, 2)
-        lam3, _ = periodic_exact(PI, 0.2499, 3)
+        lam1, f1 = periodic_exact(0.2499, 1)
+        lam2, f2 = periodic_exact(0.2499, 2)
+        lam3, _ = periodic_exact(0.2499, 3)
         assert lam1 == pytest.approx(1e-4, rel=1e-11)
         assert lam2 == pytest.approx(1e-4, rel=1e-11)
         assert lam3 == pytest.approx(2.0001, rel=1e-14)
         assert {f1, f2} == {-1, 0}
 
     def test_unshifted_half_integer_squares(self):
-        values = [periodic_exact(PI, 0.0, k)[0] for k in range(1, 5)]
+        values = [periodic_exact(0.0, k)[0] for k in range(1, 5)]
         assert_allclose(values, [0.25, 0.25, 2.25, 2.25], rtol=1e-14)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            periodic_exact(PI, 0.26, 1)
-
-    def test_model_record_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicModel(n_mesh=40, alpha=0.3)
-        with pytest.raises(ValueError):
-            PeriodicModel(n_mesh=3)
+            periodic_exact(0.26, 1)
 
 
 class TestFemAssembly:
     def test_interior_stencils_without_shift(self):
         n = 12
         h = 2 * PI / n
-        stiff, mass = fem_assemble(n, PI, alpha=0.0)
+        stiff, mass = fem_assemble(n, alpha=0.0)
         k = stiff.entries
         m = mass.entries
         assert k[5, 5] == pytest.approx(2 / h)
@@ -224,26 +212,26 @@ class TestFemAssembly:
     def test_anti_periodic_wrap_flips_sign(self):
         n = 12
         h = 2 * PI / n
-        stiff, mass = fem_assemble(n, PI, alpha=0.0)
+        stiff, mass = fem_assemble(n, alpha=0.0)
         assert stiff.entries[0, n - 1] == pytest.approx(+1 / h)
         assert mass.entries[0, n - 1] == pytest.approx(-h / 6)
 
     def test_shift_is_mass_proportional(self):
         n = 16
-        s0, m0 = fem_assemble(n, PI, alpha=0.0)
-        s1, _ = fem_assemble(n, PI, alpha=0.2499)
+        s0, m0 = fem_assemble(n, alpha=0.0)
+        s1, _ = fem_assemble(n, alpha=0.2499)
         assert_allclose(s1.entries, s0.entries - 0.2499 * m0.entries, atol=1e-14)
 
-    def test_rejects_other_phases(self):
+    def test_rejects_small_mesh(self):
         with pytest.raises(ValueError):
-            fem_assemble(12, PI / 2, 0.0)
+            fem_assemble(3)
 
     def test_discrete_values_bound_exact_from_above(self):
         stiff, mass = fem_assemble(40)
         from ritzbounds.densela import gen_sym_eig
 
         values, _ = gen_sym_eig(stiff, mass)
-        lam1, _ = periodic_exact(PI, 0.2499, 1)
+        lam1, _ = periodic_exact(0.2499, 1)
         assert values[0] > lam1
         assert values[1] > lam1
 
@@ -257,7 +245,7 @@ class TestFemRitz:
         assert_allclose(gram, np.eye(2), atol=1e-10)
 
     def test_monotone_refinement(self):
-        lam1, _ = periodic_exact(PI, 0.2499, 1)
+        lam1, _ = periodic_exact(0.2499, 1)
         mu_coarse = fem_ritz(16).mu[0]
         mu_mid = fem_ritz(32).mu[0]
         mu_fine = fem_ritz(64).mu[0]
@@ -275,7 +263,7 @@ class TestHinvMoments:
         psi_hat = models._p1_fourier(c, n, k)
         phi_hat = models._p1_fourier(d, n, k)
         l2 = float(np.real(np.sum(np.conj(psi_hat) * phi_hat)) / (2 * PI))
-        _, mass = fem_assemble(n, PI, 0.0)
+        _, mass = fem_assemble(n, 0.0)
         assert l2 == pytest.approx(float(c @ mass.entries @ d), rel=1e-8)
 
     def test_eigenmode_action(self, rng):
@@ -326,7 +314,7 @@ class TestModelBoundInterplay:
         from ritzbounds.bounds import gamma_s
 
         rd = fem_ritz(40)
-        lam3, _ = periodic_exact(PI, 0.2499, 3)
+        lam3, _ = periodic_exact(0.2499, 3)
         got = gamma_s(0.0, lam3, rd.mu[0], rd.mu[1])
         assert got == pytest.approx((lam3 - rd.mu[1]) / (lam3 + rd.mu[1]), rel=1e-14)
         assert lam3 == pytest.approx(1.5**2 - 0.2499, rel=1e-14)
@@ -359,7 +347,3 @@ class TestTableRow:
 
     def test_deterministic(self):
         assert table1_row(16, k_trunc=2000) == table1_row(16, k_trunc=2000)
-
-    def test_model_record_delegates(self):
-        row = PeriodicModel(n_mesh=16).table_row(k_trunc=2000)
-        assert row == table1_row(16, k_trunc=2000)

@@ -4,10 +4,10 @@ import pytest
 from ritzbounds import defect, verify
 
 
-def test_all_registered_checks_pass():
-    results = verify.run_checks()
-    failed = [r for r in results if not r.passed]
-    assert not failed, f"failing properties: {[(r.name, r.detail) for r in failed]}"
+@pytest.mark.parametrize("name", list(verify.REGISTRY))
+def test_registered_property(name):
+    (result,) = verify.run_checks(names=[name])
+    assert result.passed, result.detail
 
 
 def test_unknown_check_rejected():
