@@ -55,6 +55,8 @@ class TestSubspace:
         n, m = b.shape
         if not 1 <= m < n:
             raise ValueError(f"need 1 <= dim < ambient dim, got basis shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("basis entries must be finite (found nan or inf)")
         gram_defect = np.max(np.abs(b.T @ b - np.eye(m)))
         if gram_defect > 1e-12:
             raise ValueError(

@@ -33,12 +33,7 @@ class SingularOperatorError(RitzBoundsError, ValueError):
 
 
 class ConvergenceError(RitzBoundsError, RuntimeError):
-    """Iterative diagonalization did not converge within the sweep cap."""
-
-    def __init__(self, message, off_diagonal_norm=None, sweeps=None):
-        super().__init__(message)
-        self.off_diagonal_norm = off_diagonal_norm
-        self.sweeps = sweeps
+    """A LAPACK eigenvalue or singular value routine did not converge."""
 
 
 class HypothesisError(RitzBoundsError, ValueError):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize
 
 from ritzbounds import defect
 from ritzbounds.defect import (
@@ -70,6 +69,11 @@ class TestTestSubspace:
         with pytest.warns(UserWarning):
             s = Subspace.from_columns(cols)
         assert_allclose(s.basis.T @ s.basis, np.eye(2), atol=1e-12)
+
+    def test_rejects_non_finite_basis(self):
+        basis = np.array([[1.0], [0.0], [np.nan], [0.0]])
+        with pytest.raises(ValueError, match="basis entries must be finite"):
+            Subspace(basis)
 
     def test_from_columns_rejects_rank_deficient(self):
         cols = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
@@ -330,15 +334,6 @@ class TestDefectInvariants:
             ds2 = etas_moments(*moment_matrices(h, rd))
             assert np.max(np.abs(ds1.etas - ds2.etas)) <= 1e-9
 
-    def test_ordering_and_strict_bound(self, rng):
-        for _ in range(10):
-            h = random_spd(rng, 12, log_cond=6.0)
-            s = Subspace(random_subspace(rng, 12, 4))
-            ds = etas_schur(p_diagonal_split(h, s))
-            assert np.all(np.diff(ds.etas) >= 0)
-            assert ds.etas[0] >= 0
-            assert ds.etas[-1] < 1.0
-
     def test_scaling_robustness(self, rng):
         h = random_spd(rng, 10)
         s = Subspace(random_subspace(rng, 10, 3))
@@ -346,26 +341,6 @@ class TestDefectInvariants:
         for c in (1e-8, 1e-3, 1.0, 1e5, 1e8):
             scaled = etas_schur(p_diagonal_split(c * h, s)).etas
             assert np.max(np.abs(scaled - base)) <= 1e-12 * max(base.max(), 1e-30)
-
-    def test_variational_consistency(self, rng):
-        # eta_m^2 equals the max over the subspace of the relative Galerkin
-        # defect quotient; oracle is direct maximization of the quotient
-        h = random_spd(rng, 8)
-        s = Subspace(random_subspace(rng, 8, 3))
-        rd = ritz(h, s)
-        psi, omega = moment_matrices(h, rd)
-        eta_m2 = etas_moments(psi, omega).etas[-1] ** 2
-
-        def negative_quotient(c):
-            num = c @ omega.entries @ c
-            den = c @ psi.entries @ c
-            return -num / den
-
-        best = -np.inf
-        for _ in range(6):
-            res = minimize(negative_quotient, rng.standard_normal(3), method="BFGS")
-            best = max(best, -res.fun)
-        assert best == pytest.approx(eta_m2, rel=1e-8, abs=1e-12)
 
     def test_wilkinson_zero_complement_sweep(self, rng):
         for _ in range(12):

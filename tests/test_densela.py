@@ -1,12 +1,12 @@
 import io
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ritzbounds import densela
 from ritzbounds.densela import (
     NormKind,
     SymmetricMatrix,
@@ -26,7 +26,7 @@ from ritzbounds.errors import (
     NotSymmetricError,
 )
 
-from conftest import random_spd
+from conftest import haar_orthogonal, random_spd
 
 
 def kappa_matrix(k):
@@ -112,11 +112,17 @@ class TestSymEig:
         assert w.shape == (0,)
         assert v.shape == (0, 0)
 
-    def test_nonconvergence_diagnostic_reports_off_norm(self, rng):
-        a = random_spd(rng, 6)
-        with pytest.raises(ConvergenceError) as err:
-            densela._jacobi(a, max_sweeps=0)
-        assert err.value.off_diagonal_norm > 0
+    def test_lapack_failure_surfaces_as_convergence_error(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        for a in (random_spd(rng, 6), np.diag([1.0, -1.0])):
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                sym_eig(a)
+        with pytest.raises(ConvergenceError):
+            singular_values(rng.standard_normal((4, 3)))
 
     def test_deterministic(self, rng):
         a = random_spd(rng, 12)
@@ -224,6 +230,84 @@ def test_sym_eig_matches_lapack_oracle(n, seed):
     a = a + a.T
     w, _ = sym_eig(a)
     assert_allclose(w, np.linalg.eigvalsh(a), rtol=1e-10, atol=1e-10)
+
+
+def grading(rng, n, decades=24.0):
+    """Scale factors spanning ``decades`` decades, in random order."""
+    d = 10.0 ** rng.uniform(-decades / 2, decades / 2, n)
+    d[:2] = 10.0 ** (-decades / 2), 10.0 ** (decades / 2)
+    return rng.permutation(d)
+
+
+def graded_spd(rng, d, cond=1e3):
+    """``D A D`` with cond(A) = cond."""
+    q = haar_orthogonal(rng, len(d))
+    a = (q * np.logspace(0.0, np.log10(cond), len(d))) @ q.T
+    h = d[:, None] * a * d[None, :]
+    return 0.5 * (h + h.T)
+
+
+def mp_eigvalsh(a):
+    """Ascending eigenvalues of an mpmath matrix."""
+    return np.array(sorted(float(x) for x in mpmath.eigsy(a, eigvals_only=True)))
+
+
+#: ``mpmath.eigsy`` is accurate to its precision relative to the largest
+#: eigenvalue; 110 digits leave 50 correct digits in the smallest one when
+#: the spectrum spans up to 60 decades.
+ORACLE_DPS = 110
+
+
+class TestRelativeAccuracy:
+    """Small eigenvalues and singular values of graded matrices to high
+    relative accuracy, against a high-precision mpmath oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sym_eig_values(self, seed):
+        rng = np.random.default_rng(seed)
+        h = graded_spd(rng, grading(rng, int(rng.integers(10, 31))))
+        with mpmath.workdps(ORACLE_DPS):
+            exact = mp_eigvalsh(mpmath.matrix(h.tolist()))
+        w, _ = sym_eig(h)
+        assert np.max(np.abs(w - exact) / exact) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sym_eig_vectors(self, seed):
+        # the left singular vectors of the Cholesky factor keep this only
+        # when the diagonal is sorted to decrease before factoring
+        rng = np.random.default_rng(seed)
+        h = graded_spd(rng, grading(rng, 20))
+        with mpmath.workdps(ORACLE_DPS):
+            values, vectors = mpmath.eigsy(mpmath.matrix(h.tolist()))
+            order = sorted(range(20), key=lambda i: values[i])
+            exact = np.array(vectors.tolist(), dtype=float)[:, order]
+        _, v = sym_eig(h)
+        v = v * np.sign(np.sum(v * exact, axis=0))
+        assert np.max(np.abs(v - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_gen_sym_eig_values_on_graded_spd_pencil(self, seed):
+        rng = np.random.default_rng(seed)
+        d = grading(rng, int(rng.integers(10, 31)))
+        a = graded_spd(rng, d)
+        b = graded_spd(rng, d)
+        with mpmath.workdps(ORACLE_DPS):
+            inv = mpmath.cholesky(mpmath.matrix(b.tolist())) ** -1
+            c = inv * mpmath.matrix(a.tolist()) * inv.T
+            exact = mp_eigvalsh((c + c.T) / 2)
+        w, _ = gen_sym_eig(a, b)
+        assert np.max(np.abs(w - exact) / exact) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_singular_values_of_column_graded_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        d = grading(rng, int(rng.integers(10, 31)))
+        g = rng.standard_normal((len(d) + 3, len(d))) * d[None, :]
+        with mpmath.workdps(ORACLE_DPS):
+            m = mpmath.matrix(g.tolist())
+            exact = np.sqrt(mp_eigvalsh(m.T * m))[::-1]
+        s = singular_values(g)
+        assert np.max(np.abs(s - exact) / exact) <= 1e-12
 
 
 class TestMatrixText:

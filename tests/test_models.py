@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,9 +8,10 @@ from numpy.testing import assert_allclose
 from ritzbounds import models
 from ritzbounds.defect import TestSubspace as Subspace
 from ritzbounds.defect import etas_schur, p_diagonal_split
-from ritzbounds.densela import sym_eig
+from ritzbounds.densela import gen_sym_eig, sym_eig
 from ritzbounds.errors import HypothesisError, TruncationError
 from ritzbounds.models import (
+    DEFAULT_ALPHA,
     fem_assemble,
     fem_ritz,
     hkappa_matrix,
@@ -81,16 +83,6 @@ class TestKappaFamily:
         assert gaps[1] < 5e-2
         assert gaps[2] < 5e-3
 
-    def test_error_expansion(self):
-        # (mu - lambda_1)/mu agrees with 1/(101 kappa^2) to O(kappa^-4)
-        for k in (100.0, 1000.0):
-            h = hkappa_matrix(k)
-            lam1 = sym_eig(h)[0][0]
-            mu = 1 / 101
-            rel = (mu - lam1) / mu
-            model = 1.0 / (101.0 * k**2)
-            assert abs(rel - model) / model <= 10.0 / k**2
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             hkappa_matrix(-1.0)
@@ -138,11 +130,6 @@ class TestSchrodinger:
         k = 1e4
         assert abs(schrodinger_taylor(k) - 2.0 / k) < 1e-7
 
-    def test_taylor_matches_bisection_at_large_coupling(self):
-        k = 1000.0
-        quotient = (PI**2 - schrodinger_lambda(k, 1)) / PI**2
-        assert abs(quotient - schrodinger_taylor(k)) <= 1e-12
-
     def test_eta2_values(self):
         assert schrodinger_eta2(5.0) == pytest.approx(0.25)
         assert schrodinger_eta2(1e9) < 3e-9
@@ -151,12 +138,6 @@ class TestSchrodinger:
         # quick variant of the oracle; the acceptance suite runs the full one
         fd = schrodinger_eta2_fd(100.0, length=8.0, nodes=4000)
         assert fd == pytest.approx(schrodinger_eta2(100.0), abs=1e-3)
-
-    def test_sandwich_holds(self):
-        for k in (5.0, 10.0, 100.0, 1000.0):
-            lower, upper = schrodinger_bounds(k)
-            quotient = (PI**2 - schrodinger_lambda(k, 1)) / PI**2
-            assert lower <= quotient <= upper
 
     def test_sandwich_exact_arithmetic_at_five(self):
         lower, upper = schrodinger_bounds(5.0)
@@ -228,12 +209,27 @@ class TestFemAssembly:
 
     def test_discrete_values_bound_exact_from_above(self):
         stiff, mass = fem_assemble(40)
-        from ritzbounds.densela import gen_sym_eig
-
         values, _ = gen_sym_eig(stiff, mass)
         lam1, _ = periodic_exact(0.2499, 1)
         assert values[0] > lam1
         assert values[1] > lam1
+
+    @pytest.mark.parametrize("n", [40, 160])
+    def test_pencil_matches_fourier_closed_form(self, n):
+        # each anti-periodic frequency omega = k + 1/2 diagonalizes the
+        # pencil, with a double eigenvalue
+        # 6 (1 - cos omega h) / (h^2 (2 + cos omega h)) - alpha, written with
+        # 2 sin^2(omega h / 2) and evaluated in mpmath against cancellation
+        values, _ = gen_sym_eig(*fem_assemble(n))
+        with mpmath.workdps(40):
+            h = 2 * mpmath.pi / n
+            exact = []
+            for k in range(n // 2):
+                wh = (k + mpmath.mpf(0.5)) * h
+                mode = 12 * mpmath.sin(wh / 2) ** 2 / (h**2 * (2 + mpmath.cos(wh)))
+                exact += 2 * [float(mode - mpmath.mpf(DEFAULT_ALPHA))]
+        exact = np.sort(exact)
+        assert np.max(np.abs(values - exact) / exact) <= 1e-9
 
 
 class TestFemRitz:
@@ -340,10 +336,3 @@ class TestTableRow:
         coarse = table1_row(16, k_trunc=4000)
         fine = table1_row(32, k_trunc=4000)
         assert all(f < c for f, c in zip(fine, coarse))
-
-    def test_middle_column_tracks_lower_column(self):
-        lower, middle, _ = table1_row(40)
-        assert abs(middle - lower) <= 2e-4
-
-    def test_deterministic(self):
-        assert table1_row(16, k_trunc=2000) == table1_row(16, k_trunc=2000)
