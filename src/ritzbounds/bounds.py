@@ -19,8 +19,9 @@ lambda_i)/mu_i`` of a Ritz cluster:
 
 Every evaluator is a pure formula; hypothesis checking is the caller's
 business.  ``build_report`` is that caller: it assembles all bounds for a
-given operator/test-subspace pair, records one validity flag per checked
-hypothesis, and never refuses to evaluate a formula just because a
+given operator/test-subspace pair, records one flag per checked
+hypothesis, marks an entry valid when every flag its theorem lists in
+``THEOREMS`` holds, and never refuses to evaluate a formula just because a
 hypothesis failed (the flag records it instead).
 """
 
@@ -36,7 +37,6 @@ import numpy as np
 
 from .defect import (
     DefectSpectrum,
-    RitzData,
     SplitOperator,
     TestSubspace,
     _resolvent_factors,
@@ -252,10 +252,11 @@ def abs_cluster_bounds(k_block, mu, lambda_mp1: float, kind) -> float:
         return 0.0
     if kind is NormKind.TRACE:
         return float((k * k).sum() / (gap - norm_k))
-    return ui_norm(k, kind) * norm_k / (gap - norm_k)
+    ui = norm_k if kind is NormKind.SPECTRAL else ui_norm(k, kind)
+    return ui * norm_k / (gap - norm_k)
 
 
-def exactness_ratio(split: SplitOperator, rd: RitzData, lambda_q: float) -> float:
+def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
     """Ratio of the true error aggregate to the defect aggregate.
 
     Evaluates ``1 + tr(lambda_q K_s^T (W - lambda_q)^{-1} K_s) / sum
@@ -283,15 +284,20 @@ def exactness_ratio(split: SplitOperator, rd: RitzData, lambda_q: float) -> floa
 # Report assembly
 # ---------------------------------------------------------------------------
 
-THEOREM_TAGS = (
-    "first_order",
-    "cluster_T33",
-    "sandwich_T34",
-    "trace_T34",
-    "prop_36",
-    "classical_TK",
-    "abs_cluster",
-)
+#: The hypothesis flags whose conjunction makes each theorem's entries
+#: valid.  A report lists the entries of the first four theorems, the
+#: relative bounds, Ritz value by Ritz value; the classical bounds follow,
+#: one theorem after the other.
+THEOREMS = {
+    "first_order": ("eta_vs_gamma", "cluster_multiplicity", "routes_agree"),
+    "cluster_T33": ("eta_vs_gamma", "cluster_multiplicity"),
+    "sandwich_T34": ("mu_below_next", "cluster_multiplicity"),
+    "trace_T34": ("mu_below_next", "cluster_multiplicity"),
+    "classical_TK": ("tk_gap",),
+    "abs_cluster": ("abs_gap",),
+}
+THEOREM_TAGS = tuple(THEOREMS)
+_PER_RITZ_VALUE = THEOREM_TAGS[:4]
 
 
 @dataclass(frozen=True)
@@ -312,6 +318,11 @@ class BoundEntry:
                 f"empty bound interval [{self.lower}, {self.upper}] for "
                 f"{self.theorem}"
             )
+
+
+def _entry_order(entry: BoundEntry):
+    block = 0 if entry.theorem in _PER_RITZ_VALUE else THEOREM_TAGS.index(entry.theorem)
+    return block, entry.index
 
 
 @dataclass(frozen=True)
@@ -347,7 +358,8 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
 
     ``lambda_ref`` supplies the reference eigenvalues (exact values where a
     model provides them); by default they are computed from ``h``.  ``q``
-    is the 1-based index of the target eigenvalue cluster.
+    is the 1-based index of the target eigenvalue cluster.  Each entry's
+    validity is the conjunction of its theorem's flags in ``THEOREMS``.
     """
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
@@ -358,6 +370,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     ds_moments = etas_moments(psi, omega)
     m = subspace.dim
     mu = rd.mu
+    mu_1, mu_m = float(mu[0]), float(mu[-1])
 
     if lambda_ref is None:
         lambda_ref, _ = sym_eig(hm)
@@ -374,16 +387,23 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
 
     g_q = relative_gap_gq(split.w_values, lam_q)
     g_1 = g_q if q == 1 else relative_gap_gq(split.w_values, float(lambda_ref[0]))
-    gam = gamma_s(lam_qm1, lam_qpm, float(mu[0]), float(mu[-1]))
+    gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)
     gaps = GapData(
         q=q,
         g_q=g_q,
         gamma_s=gam,
         lambda_qm1=lam_qm1,
         lambda_qpm=lam_qpm,
-        mu_1=float(mu[0]),
-        mu_m=float(mu[-1]),
+        mu_1=mu_1,
+        mu_m=mu_m,
     )
+    try:
+        abs_bound = abs_cluster_bounds(split.coupling, mu, lam_mp1, kind)
+    except HypothesisError:
+        abs_bound = None
+    abs_gap = abs_bound is not None
+    if math.isinf(lam_mp1):  # no (m+1)-th reference value, no bound to report
+        abs_bound = None
 
     eta_m = ds.eta_max
     rel_tol = 1e-8
@@ -394,129 +414,82 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
             cluster_is_multiple and lam_qm1 < lam_q and lam_q < lam_qpm
         ),
         "eta_vs_gamma": bool(eta_m / (1.0 - eta_m) < gam),
-        "mu_below_next": bool(q == 1 and float(mu[-1]) < lam_mp1),
+        "mu_below_next": bool(q == 1 and mu_m < lam_mp1),
         "two_eta_below_one": bool(2.0 * eta_m < 1.0),
-        "tk_gap": bool(len(lambda_ref) > 1 and float(lambda_ref[1]) > float(mu[0])),
+        "tk_gap": bool(len(lambda_ref) > 1 and float(lambda_ref[1]) > mu_1),
+        "abs_gap": abs_gap,
     }
 
-    k_raw = split.coupling
-    abs_gap_ok = ui_norm(k_raw, NormKind.SPECTRAL) < lam_mp1 - float(mu[-1])
-    flags["abs_gap"] = bool(abs_gap_ok)
+    c33 = cluster_upper_bound(ds, g_q, kind) if g_q > 0 else None
+    # without a gap (g_1 = 0) the sandwiches keep only their lower ends
+    s_lo, s_hi = sandwich_bounds(ds, g_1 or INF, kind)
+    t_lo, t_hi = trace_sandwich(ds, g_1 or INF)
+    s_hi, t_hi = (_finite_or_none(s_hi), _finite_or_none(t_hi)) if g_1 > 0 else (None, None)
+    ratios = mu * np.diag(omega.entries)
+    dl = dl_measure(psi, mu)
+    r_lo, r_hi = residual_eta_sandwich(ratios, dl)
+    tk_lower = tk_rel = None
+    if flags["tk_gap"]:
+        u1 = rd.vectors[:, 0]
+        res = hm.entries @ u1 - mu_1 * u1
+        res_sq, lam_2 = float(res @ res), float(lambda_ref[1])
+        tk_lower = classical_temple_kato(mu_1, res_sq, lam_2)
+        # the relative drop directly: mu minus the lower bound cancels to
+        # zero once the drop falls below the rounding of mu
+        tk_rel = res_sq / (lam_2 - mu_1) / mu_1
+    try:
+        exact_ratio = exactness_ratio(split, lam_q)
+    except SingularOperatorError:
+        exact_ratio = None
 
-    aggregates: dict = {
+    aggregates = {
         "g_q": _finite_or_none(g_q),
         "g_1": _finite_or_none(g_1),
         "gamma_s": gam,
         "g_q_lemma23": _finite_or_none(
-            gq_lower_bound_lemma(eta_m, float(mu[0]), float(mu[-1]), lam_qm1, lam_qpm)
+            gq_lower_bound_lemma(eta_m, mu_1, mu_m, lam_qm1, lam_qpm)
         ),
-        "dl": dl_measure(psi, mu),
+        "dl": dl,
         "eta_sum_squares": ds.sum_squares(),
+        "g1_cor35": g1_from_spectral_gap(lam_mp1, mu_m) if flags["mu_below_next"] else None,
+        "cluster_T33": c33,
+        "sandwich_lower": s_lo,
+        "sandwich_upper": s_hi,
+        "trace_lower": t_lo,
+        "trace_upper": t_hi,
+        "prop36_lower": prop_lower_bound(mu, ratios),
+        "residual_eta_lower": r_lo,
+        "residual_eta_upper": r_hi,
+        "abs_cluster": abs_bound,
+        "classical_tk_lower": tk_lower,
+        "exactness_ratio": exact_ratio,
     }
-    aggregates["g1_cor35"] = (
-        g1_from_spectral_gap(lam_mp1, float(mu[-1])) if flags["mu_below_next"] else None
-    )
 
-    c33 = cluster_upper_bound(ds, g_q, kind) if g_q > 0 else None
-    aggregates["cluster_T33"] = c33
-    if g_1 > 0:
-        s_lo, s_hi = sandwich_bounds(ds, g_1, kind)
-        t_lo, t_hi = trace_sandwich(ds, g_1)
-    else:
-        s_lo, s_hi = sandwich_bounds(ds, INF, kind)[0], None
-        t_lo, t_hi = ds.sum_squares(), None
-    aggregates["sandwich_lower"] = s_lo
-    aggregates["sandwich_upper"] = _finite_or_none(s_hi) if s_hi is not None else None
-    aggregates["trace_lower"] = t_lo
-    aggregates["trace_upper"] = _finite_or_none(t_hi) if t_hi is not None else None
-
-    ratios = mu * np.diag(omega.entries)
-    aggregates["prop36_lower"] = prop_lower_bound(mu, ratios)
-    r_lo, r_hi = residual_eta_sandwich(ratios, aggregates["dl"])
-    aggregates["residual_eta_lower"] = r_lo
-    aggregates["residual_eta_upper"] = r_hi
-
-    if flags["abs_gap"] and not math.isinf(lam_mp1):
-        aggregates["abs_cluster"] = abs_cluster_bounds(k_raw, mu, lam_mp1, kind)
-    else:
-        aggregates["abs_cluster"] = None
-
-    tk_rel = None
-    if flags["tk_gap"]:
-        u1 = rd.vectors[:, 0]
-        res = hm.entries @ u1 - float(mu[0]) * u1
-        res_sq, lam_2 = float(res @ res), float(lambda_ref[1])
-        aggregates["classical_tk_lower"] = classical_temple_kato(float(mu[0]), res_sq, lam_2)
-        # the relative drop directly: mu minus the lower bound cancels to
-        # zero once the drop falls below the rounding of mu
-        tk_rel = res_sq / (lam_2 - float(mu[0])) / float(mu[0])
-    else:
-        aggregates["classical_tk_lower"] = None
-
-    try:
-        aggregates["exactness_ratio"] = exactness_ratio(split, rd, lam_q)
-    except SingularOperatorError:
-        aggregates["exactness_ratio"] = None
-
-    entries = []
-    fo_valid = flags["eta_vs_gamma"] and flags["cluster_multiplicity"]
-    per_index_valid = fo_valid and flags["routes_agree"]
-    for i in range(m):
-        entries.append(
+    # (lower, upper) per index, None where a formula is not computable
+    intervals = {
+        "first_order": [(-eta_m, eta_m)] * m,
+        "cluster_T33": None if c33 is None else [(-c33, c33)] * m,
+        "sandwich_T34": None if s_hi is None else [(-s_hi, s_hi)] * m,
+        "trace_T34": None if t_hi is None else [(0.0, t_hi)] * m,
+        "classical_TK": None if tk_rel is None else [(0.0, tk_rel)],
+        "abs_cluster": None if abs_bound is None else [
+            (-abs_bound / float(x), abs_bound / float(x)) for x in mu
+        ],
+    }
+    entries = sorted(
+        (
             BoundEntry(
-                index=i + 1,
-                theorem="first_order",
-                lower=-eta_m,
-                upper=eta_m,
-                valid=per_index_valid,
+                index=i,
+                theorem=tag,
+                lower=lower,
+                upper=upper,
+                valid=all(flags[name] for name in hypotheses),
             )
-        )
-        if c33 is not None:
-            entries.append(
-                BoundEntry(
-                    index=i + 1,
-                    theorem="cluster_T33",
-                    lower=-c33,
-                    upper=c33,
-                    valid=flags["cluster_multiplicity"] and flags["eta_vs_gamma"],
-                )
-            )
-        if s_hi is not None and math.isfinite(s_hi):
-            entries.append(
-                BoundEntry(
-                    index=i + 1,
-                    theorem="sandwich_T34",
-                    lower=-s_hi,
-                    upper=s_hi,
-                    valid=flags["mu_below_next"] and flags["cluster_multiplicity"],
-                )
-            )
-        if t_hi is not None and math.isfinite(t_hi):
-            entries.append(
-                BoundEntry(
-                    index=i + 1,
-                    theorem="trace_T34",
-                    lower=0.0,
-                    upper=t_hi,
-                    valid=flags["mu_below_next"] and flags["cluster_multiplicity"],
-                )
-            )
-    if tk_rel is not None:
-        entries.append(
-            BoundEntry(index=1, theorem="classical_TK", lower=0.0, upper=tk_rel, valid=flags["tk_gap"])
-        )
-    if aggregates["abs_cluster"] is not None:
-        for i in range(m):
-            rel = aggregates["abs_cluster"] / float(mu[i])
-            entries.append(
-                BoundEntry(
-                    index=i + 1,
-                    theorem="abs_cluster",
-                    lower=-rel,
-                    upper=rel,
-                    valid=flags["abs_gap"],
-                )
-            )
+            for tag, hypotheses in THEOREMS.items()
+            for i, (lower, upper) in enumerate(intervals[tag] or (), start=1)
+        ),
+        key=_entry_order,
+    )
 
     return BoundReport(
         n=hm.n,

@@ -6,7 +6,8 @@ spanned by the orthonormal columns of B, the central objects are
 
 * the Ritz values/vectors of H compressed to the subspace,
 * the block-diagonal part ``H_P = P H P + (I-P) H (I-P)`` with P the
-  orthogonal projector onto the subspace,
+  orthogonal projector onto the subspace, kept as its two blocks: the
+  Ritz values and the spectrum of the complement block ``W``,
 * the scaled coupling block ``K_s`` of ``H_P^{-1/2} (H - H_P) H_P^{-1/2}``,
   formed in the orthonormal basis (Ritz vectors, completion of the
   orthogonal complement),
@@ -31,6 +32,7 @@ from .densela import (
     SymmetricMatrix,
     as_symmetric,
     cholesky_lower,
+    gen_sym_eig,
     singular_values,
     solve_lower,
     sym_eig,
@@ -99,15 +101,14 @@ class TestSubspace:
 
 @dataclass(frozen=True)
 class RitzData:
-    """Ritz values (ascending), Ritz vectors, and the Rayleigh quotient.
+    """Ritz values (ascending) and Ritz vectors.
 
-    In the basis carried here the Rayleigh quotient is diagonal:
-    ``xi = diag(mu)``.
+    The vectors diagonalize the Rayleigh quotient: in their basis it is
+    ``Xi = diag(mu)``.
     """
 
     mu: np.ndarray
     vectors: np.ndarray
-    xi: SymmetricMatrix
 
     @property
     def m(self) -> int:
@@ -151,18 +152,17 @@ class DefectSpectrum:
 class SplitOperator:
     """Block data of H in the adapted basis (Ritz vectors, completion).
 
-    ``h_p`` is the block-diagonal part diag(Xi, W); ``k_s`` is the
-    (n-m) x m coupling block of the scaled defect operator, whose nonzero
-    singular values are the nonzero approximation defects; ``coupling`` is
-    the unscaled block ``V^T H U``; ``w`` is the complement block of H and
-    ``ritz`` the Ritz data the basis starts with.  The eigendecomposition
-    of W is kept because every downstream resolvent expression reuses it.
+    The block-diagonal part is diag(Xi, W) with ``Xi = diag(mu)`` from
+    ``ritz``, the Ritz data the basis starts with, and W the complement
+    block ``V^T H V``, kept as its eigendecomposition ``w_values``,
+    ``w_vectors`` because every downstream resolvent expression reuses
+    it.  ``k_s`` is the (n-m) x m coupling block of the scaled defect
+    operator, whose nonzero singular values are the nonzero approximation
+    defects; ``coupling`` is the unscaled block ``V^T H U``.
     """
 
-    h_p: SymmetricMatrix
     k_s: np.ndarray
     coupling: np.ndarray
-    w: SymmetricMatrix
     basis: np.ndarray
     ritz: RitzData
     w_values: np.ndarray = field(repr=False)
@@ -198,8 +198,7 @@ def ritz(h, subspace: TestSubspace) -> RitzData:
     """Ritz values and vectors of H from the test subspace.
 
     Solves the m x m compression ``B^T H B``; the returned vectors span the
-    same subspace but diagonalize the Rayleigh quotient, so ``xi`` comes
-    back as diag(mu).
+    same subspace but diagonalize the Rayleigh quotient.
     """
     hm = as_symmetric(h)
     b = subspace.basis
@@ -214,7 +213,7 @@ def ritz(h, subspace: TestSubspace) -> RitzData:
             eigenvalue=mu[0],
         )
     vectors = b @ y
-    return RitzData(mu=mu, vectors=vectors, xi=SymmetricMatrix(np.diag(mu)))
+    return RitzData(mu=mu, vectors=vectors)
 
 
 def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
@@ -229,11 +228,10 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     rd = ritz(hm, subspace)
     u = rd.vectors
     v = orthonormal_completion(u)
-    a = hm.entries
-    w_block = v.T @ a @ v
-    w = SymmetricMatrix(0.5 * (w_block + w_block.T))
-    coupling = v.T @ a @ u
-    w_values, w_vectors = sym_eig(w)
+    vt_h = v.T @ hm.entries
+    w_block = vt_h @ v
+    coupling = vt_h @ u
+    w_values, w_vectors = sym_eig(0.5 * (w_block + w_block.T))
     if w_values.size and w_values[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"complement block is not positive definite: smallest eigenvalue "
@@ -242,15 +240,9 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
         )
     w_inv_sqrt_coupling = (w_vectors * w_values**-0.5) @ (w_vectors.T @ coupling)
     k_s = w_inv_sqrt_coupling / np.sqrt(rd.mu)[None, :]
-    n, m = u.shape
-    h_p = np.zeros((n, n))
-    h_p[:m, :m] = np.diag(rd.mu)
-    h_p[m:, m:] = w.entries
     return SplitOperator(
-        h_p=SymmetricMatrix(h_p),
         k_s=k_s,
         coupling=coupling,
-        w=w,
         basis=np.hstack([u, v]),
         ritz=rd,
         w_values=w_values,
@@ -295,19 +287,14 @@ def moment_matrices(h, rd: RitzData):
 
 def etas_moments(psi, omega) -> DefectSpectrum:
     """Defects from the moment pencil: eta_i^2 solves Omega c = eta^2 Psi c."""
-    psi = as_symmetric(psi)
-    omega = as_symmetric(omega)
     try:
-        cholesky_lower(psi.entries, what="Psi")
+        squares, _ = gen_sym_eig(omega, psi)
     except NotPositiveDefiniteError as err:
         raise NotPositiveDefiniteError(
             f"inverse-moment matrix is not positive definite (rank-deficient "
             f"test subspace?): {err}",
             pivot_index=err.pivot_index,
         ) from err
-    from .densela import gen_sym_eig
-
-    squares, _ = gen_sym_eig(omega, psi)
     if squares.size and squares[0] < -1e-6:
         raise ValueError(
             f"moment pencil produced eigenvalue {squares[0]:.3e} far below "

@@ -95,14 +95,6 @@ class SymmetricMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def is_positive_definite(self) -> bool:
-        """Check positive definiteness on demand via Cholesky."""
-        try:
-            cholesky_lower(self.entries)
-        except NotPositiveDefiniteError:
-            return False
-        return True
-
 
 def as_symmetric(a) -> SymmetricMatrix:
     """Coerce an array-like (or pass through a SymmetricMatrix)."""

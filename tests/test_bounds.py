@@ -391,7 +391,7 @@ class TestExactnessRatio:
     def test_equals_trace_quotient_on_exact_cluster(self, rng):
         for _ in range(6):
             h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
-            ratio = exactness_ratio(split, rd, lam[0])
+            ratio = exactness_ratio(split, lam[0])
             true_sum = float(((rd.mu - lam[0]) / rd.mu).sum())
             quotient = true_sum / ds.sum_squares()
             assert ratio == pytest.approx(quotient, rel=1e-10)
@@ -400,11 +400,9 @@ class TestExactnessRatio:
         previous = None
         for k in (10.0, 100.0, 1000.0):
             h = kappa_matrix(k)
-            s = span_e1()
-            rd = ritz(h, s)
-            split = p_diagonal_split(h, s)
+            split = p_diagonal_split(h, span_e1())
             lam1 = sym_eig(h)[0][0]
-            ratio = exactness_ratio(split, rd, lam1)
+            ratio = exactness_ratio(split, lam1)
             gap = abs(ratio - 1.0)
             if previous is not None:
                 assert gap < previous
@@ -415,16 +413,14 @@ class TestExactnessRatio:
         # scaling W far away from lambda forces the correction term to zero
         h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
         inflated = dataclasses.replace(split, w_values=split.w_values * 1e6)
-        assert exactness_ratio(inflated, rd, lam[0]) == pytest.approx(1.0, abs=1e-5)
+        assert exactness_ratio(inflated, lam[0]) == pytest.approx(1.0, abs=1e-5)
 
     def test_zero_defect_rejected(self, rng):
         q = haar_orthogonal(rng, 4)
         h = (q * np.array([1.0, 2.0, 3.0, 4.0])) @ q.T
-        s = Subspace(q[:, :1])
-        rd = ritz(0.5 * (h + h.T), s)
-        split = p_diagonal_split(0.5 * (h + h.T), s)
+        split = p_diagonal_split(0.5 * (h + h.T), Subspace(q[:, :1]))
         with pytest.raises(SingularOperatorError):
-            exactness_ratio(split, rd, 1.0)
+            exactness_ratio(split, 1.0)
 
 
 class TestScalingRobustness:
@@ -511,6 +507,75 @@ class TestReport:
             "lambda_ref", "gaps", "flags", "aggregates", "entries",
         }
         assert {e["theorem"] for e in d["entries"]} <= set(bounds.THEOREM_TAGS)
+
+
+# The hypotheses of each theorem as the paper states them: first-order
+# localization and the quadratic cluster bound need the defect below the
+# two-sided separation and a cluster of full multiplicity (first-order
+# reports the Schur-route defects, so it also needs the two routes to
+# agree); the sandwich and its trace form need the lowest cluster below
+# lambda_(m+1); the classical bounds need their own gaps.
+PAPER_HYPOTHESES = {
+    "first_order": {"eta_vs_gamma", "cluster_multiplicity", "routes_agree"},
+    "cluster_T33": {"eta_vs_gamma", "cluster_multiplicity"},
+    "sandwich_T34": {"mu_below_next", "cluster_multiplicity"},
+    "trace_T34": {"mu_below_next", "cluster_multiplicity"},
+    "classical_TK": {"tk_gap"},
+    "abs_cluster": {"abs_gap"},
+}
+RELATIVE_THEOREMS = ("first_order", "cluster_T33", "sandwich_T34", "trace_T34")
+
+
+def theorem_table_cases():
+    rng = np.random.default_rng(7)
+    h, lam, s, *_ = cluster_setup(rng)
+    yield "clustered q=1", build_report(h, s, "frobenius", lambda_ref=lam)
+
+    q = haar_orthogonal(rng, 8)
+    lam = np.array([1.0, 3.0, 3.0, 20.0, 25.0, 30.0, 40.0, 50.0])
+    h = (q * lam) @ q.T
+    basis = Subspace(tilted_basis(rng, q[:, 1:3], 0.02))
+    report = build_report(0.5 * (h + h.T), basis, "spectral", lambda_ref=lam, q=2)
+    assert report.q == 2
+    yield "q=2", report
+
+    # m = n - 1 with m reference values: lambda_(m+1) is unknown, so +inf
+    h = random_spd(rng, 5)
+    lam = sym_eig(h)[0]
+    report = build_report(h, Subspace(random_subspace(rng, 5, 4)), "trace", lambda_ref=lam[:4])
+    assert report.aggregates["abs_cluster"] is None
+    yield "m=n-1", report
+
+    # a Ritz value of 2.5 above lambda_2 = 2
+    basis = np.zeros((5, 1))
+    basis[[0, 3], 0] = 1.0 / np.sqrt(2.0)
+    report = build_report(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), Subspace(basis))
+    assert not report.flags["tk_gap"]
+    yield "no tk gap", report
+
+    h, lam, eigenspace = clustered_spd(rng, 9, 2)
+    yield "tilt 0", build_report(h, Subspace(eigenspace), "frobenius", lambda_ref=lam)
+
+
+def test_theorem_table_matches_the_paper():
+    assert {tag: set(flags) for tag, flags in bounds.THEOREMS.items()} == PAPER_HYPOTHESES
+    emitted = set()
+    for name, report in theorem_table_cases():
+        order = []
+        for e in report.entries:
+            assert e.valid == all(report.flags[f] for f in PAPER_HYPOTHESES[e.theorem]), (name, e)
+            if e.theorem in RELATIVE_THEOREMS:
+                order.append((0, e.index, RELATIVE_THEOREMS.index(e.theorem)))
+            else:
+                order.append((1 + (e.theorem == "abs_cluster"), e.index, 0))
+            emitted.add(e.theorem)
+        # the relative theorems interleave per index, then classical_TK,
+        # then abs_cluster per index
+        assert order == sorted(set(order)), name
+        assert [e.index for e in report.entries if e.theorem == "first_order"] == list(
+            range(1, report.m + 1)
+        ), name
+    assert emitted == set(bounds.THEOREM_TAGS)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ritzbounds
 from ritzbounds import cli
 from ritzbounds.bounds import csv_to_rows
 from ritzbounds.densela import write_matrix_text
@@ -241,3 +246,21 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         run_cli("verify", "--only", "defect.route_equivalence", "--seed", "5")
         assert capsys.readouterr().out == first
+
+
+def test_runtime_path_does_not_import_scipy():
+    # pytest's own process has scipy loaded already, so a fresh one checks
+    # the package, the CLI and the one verify check that used scipy
+    code = (
+        "import contextlib, io, sys\n"
+        "import ritzbounds, ritzbounds.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    ritzbounds.cli.main(['verify', '--only', 'defect.variational_consistency'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(ritzbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -54,10 +54,6 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
 
-    def test_positive_definite_flag(self):
-        assert as_symmetric(np.diag([2.0, 0.5])).is_positive_definite()
-        assert not as_symmetric(np.diag([2.0, -0.5])).is_positive_definite()
-
     def test_empty_matrix_allowed(self):
         assert as_symmetric(np.empty((0, 0))).n == 0
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from ritzbounds import models
 from ritzbounds.defect import TestSubspace as Subspace
 from ritzbounds.defect import etas_schur, p_diagonal_split
-from ritzbounds.densela import gen_sym_eig, sym_eig
+from ritzbounds.densela import cholesky_lower, gen_sym_eig, sym_eig
 from ritzbounds.errors import HypothesisError, TruncationError
 from ritzbounds.models import (
     DEFAULT_ALPHA,
@@ -46,7 +46,7 @@ class TestKappaFamily:
 
     def test_matrix_positive_definite(self):
         for k in (0.1, 1.0, 30.0):
-            assert hkappa_matrix(k).is_positive_definite()
+            cholesky_lower(hkappa_matrix(k))  # raises unless positive definite
 
     def test_residual_norm_is_kappa_independent(self):
         for k in (1.0, 10.0, 1000.0):
@@ -138,6 +138,23 @@ class TestSchrodinger:
         # quick variant of the oracle; the acceptance suite runs the full one
         fd = schrodinger_eta2_fd(100.0, length=8.0, nodes=4000)
         assert fd == pytest.approx(schrodinger_eta2(100.0), abs=1e-3)
+
+    @pytest.mark.parametrize("nodes", [100, 20000])
+    def test_tridiagonal_solve_matches_solve_banded(self, nodes):
+        # the finite-difference oracle's system: -u'' + V u on [0, 10]
+        # with a step potential, against LAPACK's banded LU
+        from scipy.linalg import solve_banded
+
+        rng = np.random.default_rng(nodes)
+        h = 10.0 / nodes
+        x = h * np.arange(1, nodes)
+        diag = 2.0 / h**2 + np.where(x >= 1.0, 1e4, 0.0)
+        off = -1.0 / h**2
+        rhs = rng.standard_normal(nodes - 1)
+        banded = np.vstack([np.full(nodes - 1, off), diag, np.full(nodes - 1, off)])
+        expected = solve_banded((1, 1), banded, rhs)
+        got = models._solve_tridiagonal(diag, off, rhs)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_sandwich_exact_arithmetic_at_five(self):
         lower, upper = schrodinger_bounds(5.0)
