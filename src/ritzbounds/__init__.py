@@ -53,7 +53,6 @@ from .models import (
     hkappa_matrix,
     hkappa_reference,
     periodic_exact,
-    periodic_hinv_moment,
     schrodinger_bounds,
     schrodinger_eta2,
     schrodinger_lambda,

@@ -20,6 +20,7 @@ precision and are byte-stable under parse/re-serialize round trips.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -59,6 +60,9 @@ EXIT_HYPOTHESIS = 6
 
 _LOWEST_RE = re.compile(r"^lowest-(\d+)$")
 
+#: Mesh counts ``fem-periodic`` accepts.
+MESH_MIN, MESH_MAX = 8, 10**6
+
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
@@ -91,6 +95,27 @@ def _parse_float_list(text: str, what: str):
         raise argparse.ArgumentTypeError(f"bad {what} list: {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"empty {what} list")
+    return values
+
+
+def _bounded_int(text: str, what: str, lo: int, hi: float = math.inf) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(
+            f"{what} must be an integer in [{lo}, {hi}], got {text!r}"
+        )
+    return value
+
+
+def _parse_mesh_list(text: str):
+    values = [
+        _bounded_int(tok, "mesh count", MESH_MIN, MESH_MAX) for tok in text.split(",") if tok.strip()
+    ]
+    if not values:
+        raise argparse.ArgumentTypeError("empty mesh list")
     return values
 
 
@@ -215,9 +240,7 @@ def _cmd_schrodinger(args, parser) -> int:
 def _cmd_fem_periodic(args, parser) -> int:
     columns = ("N", "lower", "middle", "upper")
     rows = []
-    for n_mesh in sorted(int(n) for n in args.n_list):
-        if n_mesh < 8:
-            parser.error(f"mesh count must be >= 8, got {n_mesh}")
+    for n_mesh in sorted(args.n_list):
         lower, middle, upper = table1_row(
             n_mesh, alpha=args.alpha, k_trunc=args.k_trunc
         )
@@ -308,12 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_fem = sub.add_parser("fem-periodic", help="anti-periodic reference table")
     p_fem.add_argument(
         "--n-list",
-        type=lambda s: _parse_float_list(s, "mesh"),
+        type=_parse_mesh_list,
         default=[40, 60, 80, 100, 120],
-        help="comma-separated mesh counts (default 40,60,80,100,120)",
+        help=f"comma-separated mesh counts, integers in [{MESH_MIN}, {MESH_MAX}] "
+        f"(default 40,60,80,100,120)",
     )
     p_fem.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="spectral shift (default %(default)s)")
-    p_fem.add_argument("--k-trunc", type=int, default=DEFAULT_K_TRUNC, help="frequency cutoff for inverse moments (default %(default)s)")
+    p_fem.add_argument(
+        "--k-trunc",
+        type=lambda s: _bounded_int(s, "k-trunc", 1),
+        default=DEFAULT_K_TRUNC,
+        help="frequency cutoff |k| <= K of the inverse moments, K >= 1; the "
+        "upper column carries a bound on the tail beyond it (default %(default)s)",
+    )
     p_fem.add_argument("--out", help="output path (default stdout)")
     p_fem.add_argument("--format", choices=("csv", "table"), default="csv")
 

@@ -43,6 +43,10 @@ from .errors import NotPositiveDefiniteError, SingularOperatorError
 #: singular value against spectral norm).
 INVERTIBILITY_RTOL = 1e-12
 
+#: ``TestSubspace.from_columns`` warns when orthonormalization moves an
+#: entry of the spanning columns by more than this.
+ORTHONORMALIZATION_WARN = 1e-8
+
 
 @dataclass(frozen=True)
 class TestSubspace:
@@ -76,11 +80,11 @@ class TestSubspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_columns(cls, columns, warn_above: float = 1e-8) -> "TestSubspace":
+    def from_columns(cls, columns) -> "TestSubspace":
         """Build a subspace from possibly non-orthonormal spanning columns.
 
         Columns are orthonormalized by QR; a warning is emitted when the
-        adjustment exceeds ``warn_above``.
+        adjustment exceeds ``ORTHONORMALIZATION_WARN``.
         """
         c = np.asarray(columns, dtype=float)
         if c.ndim == 1:
@@ -90,7 +94,7 @@ class TestSubspace:
             raise ValueError("spanning columns are numerically rank deficient")
         q = q * np.sign(np.diag(r))
         adjustment = np.max(np.abs(q - c))
-        if adjustment > warn_above:
+        if adjustment > ORTHONORMALIZATION_WARN:
             warnings.warn(
                 f"subspace basis adjusted by {adjustment:.3e} during "
                 f"orthonormalization",
@@ -163,14 +167,13 @@ class SplitOperator:
 
     k_s: np.ndarray
     coupling: np.ndarray
-    basis: np.ndarray
     ritz: RitzData
     w_values: np.ndarray = field(repr=False)
     w_vectors: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.basis.shape[0]
+        return self.ritz.vectors.shape[0]
 
     @property
     def mu(self) -> np.ndarray:
@@ -243,7 +246,6 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     return SplitOperator(
         k_s=k_s,
         coupling=coupling,
-        basis=np.hstack([u, v]),
         ritz=rd,
         w_values=w_values,
         w_vectors=w_vectors,

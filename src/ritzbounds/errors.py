@@ -47,11 +47,3 @@ class MatrixParseError(RitzBoundsError, ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class TruncationError(RitzBoundsError, ValueError):
-    """A truncated expansion cannot meet the requested tolerance."""
-
-    def __init__(self, message, tail_bound=None):
-        super().__init__(message)
-        self.tail_bound = tail_bound

@@ -17,7 +17,11 @@ Three generators exercise the bound machinery end to end:
 The periodic model is the source of the mesh-refinement reference table:
 ``table1_row`` returns the defect aggregate, the true relative-error
 aggregate, and the quadratic cluster bound for the two nearly singular
-lowest modes at ``alpha = 0.2499``.
+lowest modes at ``alpha = 0.2499``.  Those modes and their value come in
+closed form (``fem_ritz``); their inverse moments are one FFT and one Gram
+product over the N alias classes of frequencies (``_alias_gram``), and the
+upper column carries a rigorous bound on the truncated frequency tail.
+``fem_assemble`` keeps the dense pencil as the reference the tests solve.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 
 from .bounds import cluster_upper_bound, relative_gap_gq
 from .defect import RitzData, etas_moments
-from .densela import SymmetricMatrix, gen_sym_eig
-from .errors import HypothesisError, TruncationError
+from .densela import SymmetricMatrix
+from .errors import HypothesisError
 
 PI = math.pi
 
@@ -284,120 +288,84 @@ def fem_assemble(n_mesh: int, alpha: float = DEFAULT_ALPHA):
     )
 
 
-def fem_ritz(n_mesh: int, alpha: float = DEFAULT_ALPHA, m: int = 2) -> RitzData:
-    """Lowest m Rayleigh-Ritz modes of the discretized pencil.
+def _check_shift(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha < 0.25):
+        raise ValueError(f"alpha must be finite and below 1/4, got alpha = {alpha}")
 
-    The returned vectors are nodal coefficient columns, orthonormal in the
-    mass inner product, which is exactly unit norm in the function space.
+
+def fem_ritz(n_mesh: int, alpha: float = DEFAULT_ALPHA) -> RitzData:
+    """The lowest pair of the discretized pencil, in closed form.
+
+    Each frequency omega = k + 1/2 diagonalizes the P1 pencil with the
+    double value ``12 sin^2(omega h/2) / (h^2 (2 + cos omega h)) - alpha``.
+    At omega = 1/2 the nodal vectors are cos(x_p/2) and sin(x_p/2), of
+    squared mass norm pi (2 + cos omega h) / 3, and with x = omega h/2,
+    s = sin x the value is ``lambda_1 + (2 s^2 - 3 (x - s)(x + s) / x^2) /
+    (4 (3 - 2 s^2))``: no cancellation once x - sin x is summed from its
+    series, whose eight terms reach rounding level for every n_mesh >= 4.
     """
-    stiff, mass = fem_assemble(n_mesh, alpha)
-    values, vectors = gen_sym_eig(stiff, mass)
-    if values[0] <= 0:
-        raise ValueError(
-            f"discrete pencil is not positive definite: lowest value {values[0]}"
-        )
-    mu = values[:m].copy()
-    return RitzData(mu=mu, vectors=vectors[:, :m].copy())
+    _check_shift(alpha)
+    if n_mesh < 4:
+        raise ValueError(f"mesh count must be >= 4, got {n_mesh}")
+    x = PI / (2 * n_mesh)
+    s = math.sin(x)
+    x_minus_s = sum(
+        (-1) ** j * x ** (2 * j + 3) / math.factorial(2 * j + 3) for j in range(7, -1, -1)
+    )
+    mu = (0.25 - alpha) + (2 * s * s - 3 * x_minus_s * (x + s) / x**2) / (4 * (3 - 2 * s * s))
+    half_nodes = PI * np.arange(n_mesh) / n_mesh
+    vectors = np.column_stack([np.cos(half_nodes), np.sin(half_nodes)])
+    return RitzData(mu=np.full(2, mu), vectors=vectors / math.sqrt(PI * (1 - 2 * s * s / 3)))
 
 
-class MomentValue(NamedTuple):
-    value: float
-    tail_bound: float
+def _alias_gram(vectors: np.ndarray, k_trunc: int, weight) -> np.ndarray:
+    """``(1/2 pi) sum_{|k| <= k_trunc} weight(omega) Re conj(f_i) f_j`` for
+    the Fourier coefficients f of the P1 nodal columns at omega = k + 1/2.
 
-
-def _p1_fourier_factors(n_mesh: int, k: np.ndarray):
-    """Per-frequency transform data for anti-periodic P1 hat functions.
-
-    For omega = k + 1/2 each (anti-periodically wrapped) hat at node x_p
-    has transform ``exp(i omega x_p) * 4 sin^2(omega h / 2) / (omega^2 h)``
-    against exp(i omega t).
+    A wrapped hat at x_p has transform ``exp(i omega x_p) shape(omega)``,
+    ``shape = 4 sin^2(omega h/2) / (omega^2 h)``, so ``f(k) = c_hat[k mod N]
+    shape`` with the twisted DFT ``c_hat[r] = sum_p c_p exp(i (r + 1/2)
+    x_p)``.  Frequencies k and k + N are aliases, and the sum is one Gram
+    product over the N classes with weights ``sum_{k = r mod N} shape^2
+    weight``.
     """
+    n_mesh = vectors.shape[0]
     h = 2.0 * PI / n_mesh
+    twist = np.exp(0.5j * h * np.arange(n_mesh))
+    # norm="forward" leaves the inverse transform, a sum over exp(+i ...), unscaled
+    c_hat = np.fft.ifft(vectors * twist[:, None], axis=0, norm="forward")
+    k = np.arange(-k_trunc, k_trunc + 1)
     omega = k + 0.5
     shape = 4.0 * np.sin(omega * h / 2.0) ** 2 / (omega**2 * h)
-    return omega, shape
-
-
-def _p1_fourier(coeffs: np.ndarray, n_mesh: int, k: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of a P1 nodal vector at frequencies k.
-
-    The node-phase sum is n_mesh-periodic in k, so it is evaluated once
-    per residue class.
-    """
-    omega, shape = _p1_fourier_factors(n_mesh, k)
-    x = 2.0 * PI * np.arange(n_mesh) / n_mesh
-    base_omega = np.arange(n_mesh) + 0.5
-    base = np.exp(1j * np.outer(base_omega, x)) @ coeffs
-    return base[np.mod(k, n_mesh)] * shape
+    classes = np.bincount(k % n_mesh, shape**2 * weight(omega), minlength=n_mesh)
+    g = c_hat * np.sqrt(classes)[:, None]
+    gram = (g.conj().T @ g).real / (2.0 * PI)
+    return 0.5 * (gram + gram.T)
 
 
 def _moment_tail_bound(coeffs_a, coeffs_b, n_mesh: int, k_trunc: int) -> float:
-    """Rigorous bound on the discarded |k| > k_trunc part of the sum.
+    """Rigorous bound on the discarded |k| > k_trunc part of the moment sum.
 
-    Uses |psi_hat| <= 4 ||c||_1 / (omega^2 h) and lambda >= (8/9) omega^2
-    beyond the first modes, then an integral comparison; decays like
-    k_trunc^-5, comfortably below the advertised k_trunc^-3.
+    With |f| <= 4 ||c||_1 / (omega^2 h) and lambda >= (8/9) omega^2, true
+    for |omega| >= 3/2 and so for k_trunc >= 1, a discarded term is at most
+    ``9 ||a||_1 ||b||_1 / (pi h^2 omega^6)``; by convexity the terms sum
+    below the integrals over [k_trunc, inf) and [k_trunc + 1, inf).
     """
+    if k_trunc < 1:
+        raise ValueError(f"the tail bound needs k_trunc >= 1, got {k_trunc}")
     h = 2.0 * PI / n_mesh
     l1 = float(np.abs(coeffs_a).sum() * np.abs(coeffs_b).sum())
-    return 18.0 * l1 / (PI * h**2) / (5.0 * (k_trunc + 0.5) ** 5)
-
-
-def periodic_hinv_moment(
-    psi_coeffs,
-    phi_coeffs,
-    alpha: float = DEFAULT_ALPHA,
-    k_trunc: int = DEFAULT_K_TRUNC,
-    tol: float | None = None,
-) -> MomentValue:
-    """Inverse moment (psi, H^{-1} phi) of two P1 nodal vectors.
-
-    Evaluated by eigenfunction expansion: the exact anti-periodic modes
-    have eigenvalues (k + 1/2)^2 - alpha, and the hat-function Fourier
-    coefficients are analytic, so the moment is a single weighted sum over
-    frequencies |k| <= k_trunc.  The returned tail bound covers the
-    truncated remainder; when ``tol`` is given and the bound exceeds it,
-    a TruncationError suggests a larger k_trunc.
-    """
-    if not alpha < 0.25:
-        raise ValueError(
-            f"shift must keep the spectrum positive (alpha < 1/4), got {alpha}"
-        )
-    psi = np.asarray(psi_coeffs, dtype=float)
-    phi = np.asarray(phi_coeffs, dtype=float)
-    if psi.shape != phi.shape or psi.ndim != 1:
-        raise ValueError("nodal coefficient vectors must share one shape")
-    n_mesh = len(psi)
-    k = np.arange(-k_trunc, k_trunc + 1)
-    omega = k + 0.5
-    lam = omega**2 - alpha
-    psi_hat = _p1_fourier(psi, n_mesh, k)
-    phi_hat = _p1_fourier(phi, n_mesh, k)
-    value = float(np.real(np.sum(np.conj(psi_hat) * phi_hat / lam)) / (2.0 * PI))
-    tail = _moment_tail_bound(psi, phi, n_mesh, k_trunc)
-    if tol is not None and tail > tol:
-        raise TruncationError(
-            f"truncation tail bound {tail:.3e} exceeds the requested "
-            f"tolerance {tol:.3e}; increase k_trunc (currently {k_trunc})",
-            tail_bound=tail,
-        )
-    return MomentValue(value=value, tail_bound=tail)
+    return 9.0 * l1 / (PI * h**2) * (k_trunc**-5.0 + (k_trunc + 1) ** -5.0) / 5.0
 
 
 def periodic_moment_matrix(
     rd: RitzData, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT_K_TRUNC
 ) -> SymmetricMatrix:
-    """Inverse-moment matrix of the discrete Ritz vectors, entry by entry."""
-    m = rd.m
-    psi = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            value = periodic_hinv_moment(
-                rd.vectors[:, i], rd.vectors[:, j], alpha, k_trunc
-            ).value
-            psi[i, j] = value
-            psi[j, i] = value
-    return SymmetricMatrix(psi)
+    """Inverse moments ``(u_i, H^{-1} u_j)`` of P1 nodal vectors by expansion
+    in the exact modes (eigenvalues omega^2 - alpha) over |k| <= k_trunc;
+    the discarded part is positive semidefinite."""
+    _check_shift(alpha)
+    return SymmetricMatrix(_alias_gram(rd.vectors, k_trunc, lambda omega: 1.0 / (omega**2 - alpha)))
 
 
 def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT_K_TRUNC):
@@ -405,10 +373,13 @@ def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT
 
     Returns ``(lower, middle, upper)``:
 
-    * lower  - Frobenius norm of diag(eta_1^2, eta_2^2),
+    * lower  - Frobenius norm of diag(eta_1^2, eta_2^2); truncating Psi can
+      only lower the defects, so this stays a lower estimate,
     * middle - Frobenius norm of I - lambda Xi^{-1} with the exact double
       eigenvalue lambda,
-    * upper  - the quadratic cluster bound at the exact relative gap.
+    * upper  - the quadratic cluster bound at the exact relative gap, with
+      the defects of ``Psi + tau I``; tau, the sum of the diagonal tail
+      bounds, bounds the trace of the truncated part.
 
     The gap is taken from the exact spectrum beyond the cluster: by
     min-max the discrete pencil values there lie above the exact third
@@ -416,15 +387,17 @@ def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT
     """
     rd = fem_ritz(n_mesh, alpha)
     mu = rd.mu
-    psi = periodic_moment_matrix(rd, alpha, k_trunc)
-    omega = SymmetricMatrix(psi.entries - np.diag(1.0 / mu))
-    ds = etas_moments(psi, omega)
+    tau = sum(_moment_tail_bound(c, c, n_mesh, k_trunc) for c in rd.vectors.T)
+    psi = periodic_moment_matrix(rd, alpha, k_trunc).entries
+
+    def defects(moments):
+        return etas_moments(SymmetricMatrix(moments), SymmetricMatrix(moments - np.diag(1.0 / mu)))
 
     lam1, _ = periodic_exact(alpha, 1)
-    lower = float(np.sqrt(((ds.etas**2) ** 2).sum()))
+    lower = float(np.sqrt(((defects(psi).etas ** 2) ** 2).sum()))
     middle = float(np.sqrt(((1.0 - lam1 / mu) ** 2).sum()))
 
     exact_rest = [periodic_exact(alpha, k)[0] for k in range(3, 9)]
     g = relative_gap_gq(exact_rest, lam1)
-    upper = cluster_upper_bound(ds, g, "frobenius")
+    upper = cluster_upper_bound(defects(psi + tau * np.eye(rd.m)), g, "frobenius")
     return lower, middle, upper

@@ -344,9 +344,7 @@ class TestAbsClusterBounds:
         # eigenvalue, so the unscaled bound is not even applicable here
         h = kappa_matrix(10.0)
         split = p_diagonal_split(h, span_e1())
-        u = split.basis[:, :1]
-        v = split.basis[:, 1:]
-        k_raw = v.T @ h @ u
+        k_raw = split.coupling
         lam = sym_eig(h)[0]
         with pytest.raises(HypothesisError):
             abs_cluster_bounds(k_raw, np.array([1 / 101]), lam[1], "spectral")
@@ -357,9 +355,7 @@ class TestAbsClusterBounds:
         k = 10.0
         h = np.array([[1 / 101, -1 / 101], [-1 / 101, 1 + k**2]])
         split = p_diagonal_split(h, span_e1(2))
-        u = split.basis[:, :1]
-        v = split.basis[:, 1:]
-        k_raw = v.T @ h @ u
+        k_raw = split.coupling
         lam = sym_eig(h)[0]
         mu = np.array([1 / 101])
         bound = abs_cluster_bounds(k_raw, mu, lam[1], "spectral")
@@ -371,9 +367,7 @@ class TestAbsClusterBounds:
             s = Subspace(tilted_basis(rng, eigenspace, 0.01))
             rd = ritz(h, s)
             split = p_diagonal_split(h, s)
-            u = split.basis[:, :2]
-            v = split.basis[:, 2:]
-            k_raw = v.T @ h @ u
+            k_raw = split.coupling
             for kind in ("spectral", "frobenius"):
                 bound = abs_cluster_bounds(k_raw, rd.mu, lam[2], kind)
                 actual = ui_norm(np.diag(rd.mu - lam[0]), kind)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,44 @@ class TestModelCommands:
         with pytest.raises(SystemExit) as err:
             run_cli("fem-periodic", "--n-list", "4")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n-list", "inf"),
+            ("--n-list", "40.7"),
+            ("--n-list", "40,nan"),
+            ("--n-list", "1000000000"),
+            ("--k-trunc", "0"),
+            ("--k-trunc", "-5"),
+            ("--k-trunc", "2.5"),
+        ],
+    )
+    def test_fem_periodic_usage_errors(self, argv, monkeypatch, capsys):
+        # rejected while parsing, before any row is computed or allocated
+        monkeypatch.setattr(cli, "table1_row", None)
+        with pytest.raises(SystemExit) as err:
+            run_cli("fem-periodic", *argv)
+        assert err.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "0.25", "1"])
+    def test_fem_periodic_rejects_shift(self, alpha, capsys):
+        code = run_cli("fem-periodic", "--n-list", "40", "--alpha", alpha)
+        assert code == cli.EXIT_FAILURE
+        assert "alpha" in capsys.readouterr().err
+
+    def test_fem_periodic_large_mesh_in_fresh_process(self):
+        src = str(Path(ritzbounds.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "ritzbounds.cli", "fem-periodic", "--n-list", "10000"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        elapsed = time.perf_counter() - started
+        assert done.stdout.splitlines()[1].startswith("10000,")
+        assert elapsed < 2.0, f"fem-periodic --n-list 10000 took {elapsed:.2f} s"
 
 
 class TestVerifyCommand:

@@ -11,6 +11,7 @@ from ritzbounds.defect import (
     etas_moments,
     etas_schur,
     moment_matrices,
+    orthonormal_completion,
     p_diagonal_split,
     relative_residual_identity,
     ritz,
@@ -127,7 +128,8 @@ class TestPDiagonalSplit:
         h = random_spd(rng, 10)
         s = Subspace(random_subspace(rng, 10, 2))
         split = p_diagonal_split(h, s)
-        u, v = split.basis[:, :2], split.basis[:, 2:]
+        u = split.ritz.vectors
+        v = orthonormal_completion(u)
         p = u @ u.T
         p_perp = np.eye(10) - p
         reference = p @ h @ p + p_perp @ h @ p_perp

@@ -7,17 +7,17 @@ from numpy.testing import assert_allclose
 
 from ritzbounds import models
 from ritzbounds.defect import TestSubspace as Subspace
-from ritzbounds.defect import etas_schur, p_diagonal_split
+from ritzbounds.defect import RitzData, etas_schur, p_diagonal_split
 from ritzbounds.densela import cholesky_lower, gen_sym_eig, sym_eig
-from ritzbounds.errors import HypothesisError, TruncationError
+from ritzbounds.errors import HypothesisError
 from ritzbounds.models import (
     DEFAULT_ALPHA,
+    DEFAULT_K_TRUNC,
     fem_assemble,
     fem_ritz,
     hkappa_matrix,
     hkappa_reference,
     periodic_exact,
-    periodic_hinv_moment,
     periodic_moment_matrix,
     schrodinger_bounds,
     schrodinger_eta2,
@@ -264,55 +264,115 @@ class TestFemRitz:
         mu_fine = fem_ritz(64).mu[0]
         assert mu_coarse > mu_mid > mu_fine > lam1
 
+    @pytest.mark.parametrize("n", [16, 40, 160])
+    def test_closed_form_pair_matches_dense_pencil(self, n):
+        values, vectors = gen_sym_eig(*fem_assemble(n))
+        _, mass = fem_assemble(n)
+        rd = fem_ritz(n)
+        assert_allclose(rd.mu, values[:2], rtol=1e-9)
+        # the dense pair, projected onto the closed-form span in the mass
+        # inner product, is left unchanged
+        dense = vectors[:, :2]
+        projected = rd.vectors @ (rd.vectors.T @ mass.entries @ dense)
+        assert np.max(np.abs(projected - dense)) <= 1e-9 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [4, 8, 400, 10**4, 10**6])
+    def test_value_against_mpmath(self, n):
+        # mu sits O(h^2) above lambda_1 = 1e-4; the naive closed form
+        # loses that distance to cancellation, the series does not
+        with mpmath.workdps(40):
+            h = 2 * mpmath.pi / n
+            w = mpmath.mpf(0.5)
+            exact = 12 * mpmath.sin(w * h / 2) ** 2 / (h**2 * (2 + mpmath.cos(w * h)))
+            exact = float(exact - mpmath.mpf(DEFAULT_ALPHA))
+        assert fem_ritz(n).mu[0] == pytest.approx(exact, rel=4.5e-16)
+
+    def test_no_assembly(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fem_ritz must not assemble the pencil")
+
+        monkeypatch.setattr(models, "fem_assemble", refuse)
+        rd = fem_ritz(10**6)
+        assert rd.vectors.shape == (10**6, 2)
+
+    def test_rejects_shift_at_or_above_quarter(self):
+        for alpha in (0.25, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                fem_ritz(40, alpha)
+
 
 class TestHinvMoments:
     def test_parseval_against_mass_matrix(self, rng):
         # the same expansion with unit weights must reproduce the L2 inner
         # product, which the consistent mass matrix gives exactly
         n = 12
-        c = rng.standard_normal(n)
-        d = rng.standard_normal(n)
-        k = np.arange(-3000, 3001)
-        psi_hat = models._p1_fourier(c, n, k)
-        phi_hat = models._p1_fourier(d, n, k)
-        l2 = float(np.real(np.sum(np.conj(psi_hat) * phi_hat)) / (2 * PI))
+        v = rng.standard_normal((n, 2))
+        gram = models._alias_gram(v, 3000, np.ones_like)
         _, mass = fem_assemble(n, 0.0)
-        assert l2 == pytest.approx(float(c @ mass.entries @ d), rel=1e-8)
+        reference = v.T @ mass.entries @ v
+        assert np.max(np.abs(gram - reference)) <= 1e-8 * np.max(np.abs(reference))
 
-    def test_eigenmode_action(self, rng):
-        # against a pure mode the inverse moment is the plain moment
-        # divided by that mode's eigenvalue
-        n = 10
-        alpha = 0.2499
-        c = rng.standard_normal(n)
-        k = np.arange(-500, 501)
-        psi_hat = models._p1_fourier(c, n, k)
-        mode = 3
-        lam_mode = (mode + 0.5) ** 2 - alpha
-        phi_hat = np.zeros_like(psi_hat)
-        phi_hat[k == mode] = 1.0
-        lam = (k + 0.5) ** 2 - alpha
-        hinv = np.real(np.sum(np.conj(psi_hat) * phi_hat / lam)) / (2 * PI)
-        plain = np.real(np.sum(np.conj(psi_hat) * phi_hat)) / (2 * PI)
-        assert hinv == pytest.approx(plain / lam_mode, rel=1e-13)
+    def test_alias_gram_matches_phase_sum(self, rng):
+        # O(N k_trunc) reference: every frequency's coefficient from the
+        # full node-phase matrix, no alias classes and no FFT
+        n, alpha, k_trunc = 12, DEFAULT_ALPHA, 300
+        v = rng.standard_normal((n, 2))
+        h = 2 * PI / n
+        omega = np.arange(-k_trunc, k_trunc + 1) + 0.5
+        shape = 4 * np.sin(omega * h / 2) ** 2 / (omega**2 * h)
+        coeffs = np.exp(1j * np.outer(omega, h * np.arange(n))) @ v * shape[:, None]
+        reference = (coeffs.conj().T @ (coeffs / (omega**2 - alpha)[:, None])).real / (2 * PI)
+        psi = periodic_moment_matrix(RitzData(mu=np.ones(2), vectors=v), alpha, k_trunc)
+        assert_allclose(psi.entries, reference, rtol=1e-13, atol=1e-13 * np.max(np.abs(reference)))
+
+    def test_eigenmode_action(self):
+        # the P1 interpolant of cos(omega x) excites only the aliases
+        # +-omega + jN of its mode, each with node sum N/2, so the inverse
+        # moment weights exactly those frequencies by 1/lambda
+        n, alpha, k_trunc, mode = 10, DEFAULT_ALPHA, 500, 3.5
+        h = 2 * PI / n
+        c = np.cos(mode * h * np.arange(n))
+        rd = RitzData(mu=np.ones(1), vectors=c[:, None])
+        got = periodic_moment_matrix(rd, alpha, k_trunc).entries[0, 0]
+        expected = 0.0
+        for k in range(-k_trunc, k_trunc + 1):
+            w = k + 0.5
+            if (w - mode) % n == 0 or (w + mode) % n == 0:
+                shape = 4 * math.sin(w * h / 2) ** 2 / (w**2 * h)
+                expected += (n / 2) ** 2 * shape**2 / (w**2 - alpha) / (2 * PI)
+        assert got == pytest.approx(expected, rel=1e-13)
 
     def test_galerkin_monotonicity_of_first_moment(self):
         rd = fem_ritz(40)
-        psi11 = periodic_hinv_moment(rd.vectors[:, 0], rd.vectors[:, 0]).value
-        assert psi11 >= 1.0 / rd.mu[0]
+        psi = periodic_moment_matrix(rd).entries
+        assert psi[0, 0] >= 1.0 / rd.mu[0]
 
     def test_doubling_k_trunc_stays_within_tail_bound(self):
         rd = fem_ritz(16)
-        c = rd.vectors[:, 0]
-        coarse = periodic_hinv_moment(c, c, k_trunc=200)
-        fine = periodic_hinv_moment(c, c, k_trunc=400)
-        assert abs(fine.value - coarse.value) <= coarse.tail_bound
+        coarse = periodic_moment_matrix(rd, k_trunc=200).entries
+        fine = periodic_moment_matrix(rd, k_trunc=400).entries
+        for i in range(2):
+            assert fine[i, i] >= coarse[i, i]
+            for j in range(2):
+                tail = models._moment_tail_bound(rd.vectors[:, i], rd.vectors[:, j], 16, 200)
+                assert abs(fine[i, j] - coarse[i, j]) <= tail
 
-    def test_truncation_error_raised(self):
-        rd = fem_ritz(16)
-        c = rd.vectors[:, 0]
-        with pytest.raises(TruncationError):
-            periodic_hinv_moment(c, c, k_trunc=50, tol=1e-16)
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    @pytest.mark.parametrize("k_trunc", [1, 2, 5])
+    def test_tail_bound_covers_dropped_part(self, n, k_trunc):
+        # a single hat, and on odd meshes the alternating vector, put the
+        # largest possible coefficient on the first discarded frequencies
+        for c in (np.eye(n)[0], (-1.0) ** np.arange(n)):
+            rd = RitzData(mu=np.ones(1), vectors=c[:, None])
+            kept = periodic_moment_matrix(rd, k_trunc=k_trunc).entries[0, 0]
+            full = periodic_moment_matrix(rd, k_trunc=20000).entries[0, 0]
+            full += models._moment_tail_bound(c, c, n, 20000)
+            assert full - kept <= models._moment_tail_bound(c, c, n, k_trunc)
+
+    def test_tail_bound_needs_k_trunc_at_least_one(self):
+        c = fem_ritz(16).vectors[:, 0]
+        with pytest.raises(ValueError, match="k_trunc"):
+            models._moment_tail_bound(c, c, 16, 0)
 
     def test_moment_matrix_symmetric(self):
         rd = fem_ritz(24)
@@ -353,3 +413,47 @@ class TestTableRow:
         coarse = table1_row(16, k_trunc=4000)
         fine = table1_row(32, k_trunc=4000)
         assert all(f < c for f, c in zip(fine, coarse))
+
+    @pytest.mark.parametrize("n, rtol", [(40, 1e-13), (160, 1e-13), (400, 1e-13), (10**4, 1e-10)])
+    def test_matches_mpmath_oracle(self, n, rtol):
+        # the cos/sin pair only sees the aliases 1/2 + jN, with weights
+        # shape^2 proportional to (sin^2(h/4) / ((1/2 + jN) h/2)^2)^2, so
+        # Psi = (sum weight / lambda) / (sum weight) times I; the upper
+        # column adds the tail tau that the row carries
+        rd = fem_ritz(n)
+        tau = sum(models._moment_tail_bound(c, c, n, DEFAULT_K_TRUNC) for c in rd.vectors.T)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(DEFAULT_ALPHA)
+            h = 2 * mpmath.pi / n
+            w = mpmath.mpf(0.5)
+            mu = 12 * mpmath.sin(w * h / 2) ** 2 / (h**2 * (2 + mpmath.cos(w * h))) - a
+            lam1, lam3 = w**2 - a, (w + 1) ** 2 - a
+
+            def weight(j):
+                return (mpmath.sin(w * h / 2) ** 2 / ((w + j * n) * h / 2) ** 2) ** 2
+
+            psi = mpmath.nsum(lambda j: weight(j) / ((w + j * n) ** 2 - a), [-mpmath.inf, mpmath.inf])
+            psi /= mpmath.nsum(weight, [-mpmath.inf, mpmath.inf])
+            root2 = mpmath.sqrt(2)
+            expected = [
+                root2 * (1 - 1 / (mu * psi)),
+                root2 * (1 - lam1 / mu),
+                root2 * (1 - 1 / (mu * (psi + tau))) * lam3 / (lam3 - lam1),
+            ]
+            expected = [float(e) for e in expected]
+        assert_allclose(table1_row(n), expected, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("n", [40, 160, 10**4])
+    def test_tail_keeps_columns_ordered(self, n):
+        # truncation can only lower the defects; the carried tail keeps the
+        # upper column above the truth and lets it fall as k_trunc grows
+        uppers = []
+        for k_trunc in (1, 3, 50, 20000):
+            lower, middle, upper = table1_row(n, k_trunc=k_trunc)
+            assert lower <= middle <= upper
+            uppers.append(upper)
+        assert uppers == sorted(uppers, reverse=True)
+
+    def test_rejects_k_trunc_below_one(self):
+        with pytest.raises(ValueError, match="k_trunc"):
+            table1_row(40, k_trunc=0)

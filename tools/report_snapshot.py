@@ -1,0 +1,162 @@
+"""Snapshot every ``build_report`` a test run makes, and diff two snapshots.
+
+As a pytest plugin it writes ``report_to_json`` of each report, in call
+order, to ``DIR/NNNNN.json`` and the test that made it to ``DIR/index.txt``::
+
+    PYTHONPATH=src python -m pytest -q -p tools.report_snapshot --report-snapshot DIR
+
+``recording(DIR)`` does the same around any other code.  Two snapshots
+(for instance of a parent checkout and of a change) are compared with::
+
+    python tools/report_snapshot.py diff A B
+
+which pairs the reports by test and call order within the test, prints
+every value that moved with its relative size, and exits 0 only when
+every report is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+# ---------------------------------------------------------------------------
+# Recording
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def recording(directory):
+    """Write the JSON of every ``build_report`` call made inside the block.
+
+    Every ``ritzbounds`` module already imported that holds the function
+    gets the recording wrapper, so callers that imported it by name are
+    covered too; modules imported later pick the wrapper up from those.
+    """
+    import ritzbounds.bounds as bounds
+    import ritzbounds.cli  # noqa: F401  (binds build_report by name)
+    import ritzbounds.verify  # noqa: F401
+
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.glob("*.json")):
+        raise FileExistsError(f"{out} already holds a snapshot")
+    original = bounds.build_report
+    count = 0
+
+    def build_report(*args, **kwargs):
+        nonlocal count
+        report = original(*args, **kwargs)
+        count += 1
+        name = f"{count:05d}.json"
+        (out / name).write_text(bounds.report_to_json(report))
+        source = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0]
+        with (out / "index.txt").open("a") as index:
+            index.write(f"{name} {source}\n")
+        return report
+
+    patched = [
+        mod
+        for name, mod in list(sys.modules.items())
+        if name.split(".")[0] == "ritzbounds" and getattr(mod, "build_report", None) is original
+    ]
+    for mod in patched:
+        mod.build_report = build_report
+    try:
+        yield out
+    finally:
+        for mod in patched:
+            mod.build_report = original
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--report-snapshot",
+        metavar="DIR",
+        help="write the JSON of every build_report call, in call order, to DIR",
+    )
+
+
+def pytest_configure(config):
+    directory = config.getoption("--report-snapshot")
+    if directory:
+        stack = contextlib.ExitStack()
+        stack.enter_context(recording(directory))
+        config.add_cleanup(stack.close)
+
+
+# ---------------------------------------------------------------------------
+# Diff
+# ---------------------------------------------------------------------------
+
+
+def _moved(a, b, path=""):
+    """Yield ``(path, a, b, relative size)`` for every leaf that differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b), key=str):
+            yield from _moved(a.get(key), b.get(key), f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _moved(x, y, f"{path}[{i}]")
+    elif a != b:
+        numbers = all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)
+        )
+        if numbers and math.isfinite(a) and math.isfinite(b):
+            scale = max(abs(a), abs(b))
+            yield path, a, b, abs(a - b) / scale
+        else:
+            yield path, a, b, math.inf
+
+
+def _reports(directory: Path) -> dict:
+    """Report files by label ``<test id> #<k>``, the k-th call in that test,
+    so that calls added or removed by other tests do not shift the pairing."""
+    reports, seen = {}, {}
+    for line in (directory / "index.txt").read_text().splitlines():
+        name, _, source = line.partition(" ")
+        seen[source] = seen.get(source, 0) + 1
+        reports[f"{source} #{seen[source]}"] = directory / name
+    return reports
+
+
+def diff(dir_a, dir_b, out=sys.stdout) -> int:
+    """Print what differs between two snapshots; the number of reports moved."""
+    reports_a, reports_b = _reports(Path(dir_a)), _reports(Path(dir_b))
+    changed = same = 0
+    for label in sorted(reports_a.keys() ^ reports_b.keys()):
+        print(f"{label}: only in {dir_a if label in reports_a else dir_b}", file=out)
+        changed += 1
+    for label in sorted(reports_a.keys() & reports_b.keys()):
+        text_a, text_b = reports_a[label].read_text(), reports_b[label].read_text()
+        if text_a == text_b:
+            same += 1
+            continue
+        changed += 1
+        moves = list(_moved(json.loads(text_a), json.loads(text_b)))
+        if not moves:
+            print(f"{label}: same values, different bytes", file=out)
+        for path, a, b, rel in moves:
+            print(f"{label} {path}: {a!r} -> {b!r} (relative {rel:.3g})", file=out)
+    total = len(reports_a.keys() | reports_b.keys())
+    print(f"{same} of {total} reports byte-identical, {changed} differ", file=out)
+    return changed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_diff = sub.add_parser("diff", help="list every value that moved between two snapshots")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    args = parser.parse_args(argv)
+    return 1 if diff(args.a, args.b) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
