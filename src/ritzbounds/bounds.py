@@ -39,17 +39,26 @@ from .defect import (
     DefectSpectrum,
     SplitOperator,
     TestSubspace,
+    _moment_gram,
     _resolvent_factors,
     dl_measure,
     etas_moments,
     etas_schur,
-    moment_matrices,
     p_diagonal_split,
 )
-from .densela import NormKind, as_symmetric, sym_eig, ui_norm
+from .densela import NormKind, as_symmetric, singular_values, ui_norm, values_norm
 from .errors import HypothesisError, SingularOperatorError
 
 INF = float("inf")
+
+#: ``routes_agree`` holds when each of the ``min(m, n - m)`` largest defects
+#: of the two routes differ by at most ``ROUTES_RTOL`` times the larger one
+#: plus ``ROUTES_ATOL``.  The other ``m - min(m, n - m)`` defects are zero
+#: by structure; the Schur route pads them with zeros, the moment route
+#: returns rounding noise for them.  Defects are dimensionless, and below
+#: ``ROUTES_ATOL`` both routes return rounding noise.
+ROUTES_RTOL = 1e-8
+ROUTES_ATOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +185,7 @@ def cluster_upper_bound(etas: DefectSpectrum, g_q: float, kind) -> float:
         raise HypothesisError(f"relative gap must be positive, got {g_q!r}")
     if math.isinf(g_q):
         return 0.0
-    return etas.eta_max / g_q * ui_norm(np.diag(etas.etas), kind)
+    return etas.eta_max / g_q * values_norm(etas.etas, kind)
 
 
 def sandwich_bounds(etas: DefectSpectrum, g1: float, kind):
@@ -186,7 +195,7 @@ def sandwich_bounds(etas: DefectSpectrum, g1: float, kind):
     """
     if g1 <= 0:
         raise HypothesisError(f"relative gap must be positive, got {g1!r}")
-    lower = ui_norm(np.diag(etas.etas**2), kind)
+    lower = values_norm(etas.etas**2, kind)
     upper = 0.0 if math.isinf(g1) and lower == 0.0 else lower / g1
     return lower, upper
 
@@ -275,8 +284,7 @@ def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
             "(zero defect)"
         )
     _resolvent_factors(split, lam)  # collision check against spec(W)
-    z = split.w_vectors.T @ split.k_s
-    correction = lam * float(((z * z) / (split.w_values - lam)[:, None]).sum())
+    correction = lam * float((split.k_s**2 / (split.w_values - lam)[:, None]).sum())
     return 1.0 + correction / sum_sq
 
 
@@ -353,6 +361,13 @@ def _finite_or_none(x):
     return None if x is None or not math.isfinite(x) else float(x)
 
 
+def _routes_agree(schur: DefectSpectrum, moments: DefectSpectrum, n: int) -> bool:
+    """The cross-check of the two defect routes; see ``ROUTES_RTOL``."""
+    k = min(schur.m, n - schur.m)
+    a, b = schur.etas[-k:], moments.etas[-k:]
+    return bool(np.all(np.abs(a - b) <= ROUTES_RTOL * np.maximum(a, b) + ROUTES_ATOL))
+
+
 def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=None, q: int = 1) -> BoundReport:
     """Run the full defect/bound pipeline for one operator and subspace.
 
@@ -360,20 +375,24 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     model provides them); by default they are computed from ``h``.  ``q``
     is the 1-based index of the target eigenvalue cluster.  Each entry's
     validity is the conjunction of its theorem's flags in ``THEOREMS``.
+    ``routes_agree`` is relative (``ROUTES_RTOL``, ``ROUTES_ATOL``), and
+    ``tk_gap`` needs ``lambda_2 - mu_1`` above ``n eps |u_1|^T |H| |u_1|``,
+    the a-priori rounding bound of the quadratic form ``mu_1 = u_1^T H u_1``,
+    so that a mu_1 computed just below a double lowest eigenvalue fails it.
     """
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
     split = p_diagonal_split(hm, subspace)
     rd = split.ritz
     ds = etas_schur(split)
-    psi, omega = moment_matrices(hm, rd)
+    psi, omega = _moment_gram(hm.entries, split.h_factor, rd)
     ds_moments = etas_moments(psi, omega)
     m = subspace.dim
     mu = rd.mu
     mu_1, mu_m = float(mu[0]), float(mu[-1])
 
     if lambda_ref is None:
-        lambda_ref, _ = sym_eig(hm)
+        lambda_ref = singular_values(split.h_factor[1])[::-1] ** 2  # sym_eig(h)[0]
     lambda_ref = np.asarray(lambda_ref, dtype=float)
     if q < 1 or q + m - 1 > len(lambda_ref):
         raise ValueError(
@@ -406,17 +425,19 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
         abs_bound = None
 
     eta_m = ds.eta_max
+    u_1 = np.abs(rd.vectors[:, 0])
+    mu_1_rounding = hm.n * np.finfo(float).eps * float(u_1 @ np.abs(hm.entries) @ u_1)
     rel_tol = 1e-8
     cluster_is_multiple = abs(float(lambda_ref[q + m - 2]) - lam_q) <= rel_tol * abs(lam_q)
     flags = {
-        "routes_agree": bool(np.max(np.abs(ds.etas - ds_moments.etas)) <= 1e-9),
+        "routes_agree": _routes_agree(ds, ds_moments, hm.n),
         "cluster_multiplicity": bool(
             cluster_is_multiple and lam_qm1 < lam_q and lam_q < lam_qpm
         ),
         "eta_vs_gamma": bool(eta_m / (1.0 - eta_m) < gam),
         "mu_below_next": bool(q == 1 and mu_m < lam_mp1),
         "two_eta_below_one": bool(2.0 * eta_m < 1.0),
-        "tk_gap": bool(len(lambda_ref) > 1 and float(lambda_ref[1]) > mu_1),
+        "tk_gap": bool(len(lambda_ref) > 1 and float(lambda_ref[1]) - mu_1 > mu_1_rounding),
         "abs_gap": abs_gap,
     }
 

@@ -9,16 +9,15 @@ spanned by the orthonormal columns of B, the central objects are
   orthogonal projector onto the subspace, kept as its two blocks: the
   Ritz values and the spectrum of the complement block ``W``,
 * the scaled coupling block ``K_s`` of ``H_P^{-1/2} (H - H_P) H_P^{-1/2}``,
-  formed in the orthonormal basis (Ritz vectors, completion of the
-  orthogonal complement),
+  in the basis (Ritz vectors, eigenvectors of W) that diagonalizes H_P,
 * the approximation defects ``eta_1 <= ... <= eta_m``: the singular values
   of K_s, padded with zeros.  They vanish exactly when the subspace is
   invariant, are dimensionless, and are invariant under scaling H -> c H.
 
-Two independent routes compute the defects: the singular values of the
-explicit block (``etas_schur``) and the generalized eigenvalues of the
-inverse-moment pencil (``etas_moments``); their agreement is one of the
-standing cross-checks of the library.
+Two routes compute the defects from one sorted Cholesky factor of H, and
+neither forms W: the singular values of the block (``etas_schur``), from
+products with the factor, and the generalized eigenvalues of the inverse-
+moment pencil (``etas_moments``), from solves with it; they cross-check.
 """
 
 from __future__ import annotations
@@ -30,11 +29,12 @@ import numpy as np
 
 from .densela import (
     SymmetricMatrix,
+    _lapack,
     as_symmetric,
-    cholesky_lower,
     gen_sym_eig,
     singular_values,
     solve_lower,
+    sorted_cholesky,
     sym_eig,
 )
 from .errors import NotPositiveDefiniteError, SingularOperatorError
@@ -158,22 +158,18 @@ class SplitOperator:
 
     The block-diagonal part is diag(Xi, W) with ``Xi = diag(mu)`` from
     ``ritz``, the Ritz data the basis starts with, and W the complement
-    block ``V^T H V``, kept as its eigendecomposition ``w_values``,
-    ``w_vectors`` because every downstream resolvent expression reuses
-    it.  ``k_s`` is the (n-m) x m coupling block of the scaled defect
-    operator, whose nonzero singular values are the nonzero approximation
-    defects; ``coupling`` is the unscaled block ``V^T H U``.
+    block ``V^T H V``, kept as its ascending spectrum ``w_values``.
+    ``k_s`` is the (n-m) x m coupling block of the scaled defect operator
+    along W's eigenvectors in that order, whose nonzero singular values are
+    the nonzero approximation defects; ``coupling`` is the unscaled block
+    ``V^T H U`` and ``h_factor`` H's ``sorted_cholesky``.
     """
 
     k_s: np.ndarray
     coupling: np.ndarray
     ritz: RitzData
     w_values: np.ndarray = field(repr=False)
-    w_vectors: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.ritz.vectors.shape[0]
+    h_factor: tuple = field(repr=False)
 
     @property
     def mu(self) -> np.ndarray:
@@ -222,33 +218,25 @@ def ritz(h, subspace: TestSubspace) -> RitzData:
 def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     """Block splitting of H along the subspace, with the scaled coupling.
 
-    In the adapted orthonormal basis (Ritz vectors, then an orthonormal
-    completion of the complement) the block-diagonal part is
-    diag(Xi, W) and the scaled defect block is
-    ``K_s = W^{-1/2} (V^T H U) Xi^{-1/2}``.
+    In the adapted orthonormal basis (Ritz vectors U, completion V) the
+    block-diagonal part is diag(Xi, W), and ``K_s = W^{-1/2} (V^T H U)
+    Xi^{-1/2}``.  With ``P^T H P = L L^T`` and ``G = L^T P^T V = Q S Z^T``,
+    ``W = Z S^2 Z^T`` and ``Z^T K_s = Q^T (L^T P^T U) Xi^{-1/2}``.
     """
     hm = as_symmetric(h)
     rd = ritz(hm, subspace)
     u = rd.vectors
     v = orthonormal_completion(u)
-    vt_h = v.T @ hm.entries
-    w_block = vt_h @ v
-    coupling = vt_h @ u
-    w_values, w_vectors = sym_eig(0.5 * (w_block + w_block.T))
-    if w_values.size and w_values[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"complement block is not positive definite: smallest eigenvalue "
-            f"{w_values[0]:.6e}",
-            eigenvalue=w_values[0],
-        )
-    w_inv_sqrt_coupling = (w_vectors * w_values**-0.5) @ (w_vectors.T @ coupling)
-    k_s = w_inv_sqrt_coupling / np.sqrt(rd.mu)[None, :]
+    perm, ell = h_factor = sorted_cholesky(hm, what="operator")
+    g = ell.T @ v[perm]
+    # Q keeps its accuracy on graded H only with G's columns sorted by
+    # decreasing norm; S comes from the values-only SVD, as in sym_eig
+    cols = np.argsort(-np.einsum("ij,ij->j", g, g), kind="stable")
+    q = _lapack(np.linalg.svd, g[:, cols], full_matrices=False)[0][:, ::-1]
+    k_s = q.T @ (ell.T @ u[perm]) / np.sqrt(rd.mu)
+    w_values = singular_values(g)[::-1] ** 2
     return SplitOperator(
-        k_s=k_s,
-        coupling=coupling,
-        ritz=rd,
-        w_values=w_values,
-        w_vectors=w_vectors,
+        k_s=k_s, coupling=v.T @ (hm.entries @ u), ritz=rd, w_values=w_values, h_factor=h_factor
     )
 
 
@@ -259,28 +247,31 @@ def etas_schur(split: SplitOperator) -> DefectSpectrum:
     """
     s = singular_values(split.k_s)
     etas = np.zeros(split.m)
-    keep = min(len(s), split.m)
-    if keep:
-        etas[split.m - keep :] = np.sort(s[:keep])
+    etas[split.m - len(s) :] = np.sort(s)
     return DefectSpectrum(etas=etas, route="schur_block")
 
 
 def moment_matrices(h, rd: RitzData):
     """Inverse-moment matrix Psi and the Galerkin-error Gram matrix Omega.
 
-    With the Cholesky factor ``H = L L^T``, ``Psi[i, j] = (u_i, H^{-1} u_j)``
-    is the Gram matrix of ``X = L^-1 U``.  For Ritz vectors ``Omega``
-    equals ``Psi - diag(1/mu)``, but that difference cancels to noise (and
-    can turn negative) once the subspace is nearly invariant.  It is formed
+    With ``P^T H P = L L^T``, ``Psi[i, j] = (u_i, H^{-1} u_j)`` is the Gram
+    matrix of ``X = L^-1 P^T U``.  For Ritz vectors ``Omega`` equals
+    ``Psi - diag(1/mu)``, but that difference cancels to noise (and can
+    turn negative) once the subspace is nearly invariant.  It is formed
     instead from the residuals ``R = H U - U M``, ``M = diag(mu)``, as
-    ``M^-1 R^T H^-1 R M^-1``, the Gram matrix of ``Y = L^-1 R M^-1``, so
-    both are positive semidefinite by construction.  The quadruple-product
-    definition is kept as a test oracle.
+    ``M^-1 R^T H^-1 R M^-1``, the Gram matrix of ``Y = L^-1 P^T R M^-1``,
+    so both are positive semidefinite by construction.  The quadruple-
+    product definition is kept as a test oracle.
     """
     hm = as_symmetric(h)
+    return _moment_gram(hm.entries, sorted_cholesky(hm, what="operator"), rd)
+
+
+def _moment_gram(h: np.ndarray, h_factor, rd: RitzData):
+    """``moment_matrices`` from H's entries and its ``sorted_cholesky``."""
+    perm, ell = h_factor
     u = rd.vectors
-    ell = cholesky_lower(hm.entries, what="operator")
-    z = solve_lower(ell, np.hstack([u, hm.entries @ u - u * rd.mu]))
+    z = solve_lower(ell, np.hstack([u, h @ u - u * rd.mu])[perm])
     x, y = z[:, : rd.m], z[:, rd.m :] / rd.mu
     psi = x.T @ x
     omega = y.T @ y
@@ -348,12 +339,11 @@ def wilkinson_schur(a, x, b) -> SymmetricMatrix:
 
 
 def _resolvent_factors(split: SplitOperator, lambda_q: float) -> np.ndarray:
-    """Eigenvalues of I - lambda W^{-1} along W's eigenvectors, with an
-    invertibility check against spec(W) collisions."""
+    """Eigenvalues of I - lambda W^{-1}, in the order of ``w_values``, with
+    an invertibility check against spec(W) collisions."""
     factors = 1.0 - lambda_q / split.w_values
-    largest = np.max(np.abs(factors)) if factors.size else 0.0
-    smallest = np.min(np.abs(factors)) if factors.size else np.inf
-    if factors.size and smallest <= INVERTIBILITY_RTOL * max(largest, 1e-300):
+    smallest = np.min(np.abs(factors))
+    if smallest <= INVERTIBILITY_RTOL * max(np.max(np.abs(factors)), 1e-300):
         raise SingularOperatorError(
             f"reference value {lambda_q!r} collides with the complement "
             f"spectrum: smallest |1 - lambda/w| = {smallest:.6e}",
@@ -374,8 +364,7 @@ def relative_residual_identity(split: SplitOperator, rd: RitzData, lambda_q: flo
     lam = float(lambda_q)
     lhs = np.eye(split.m) - lam * np.diag(1.0 / rd.mu)
     factors = _resolvent_factors(split, lam)
-    z = split.w_vectors.T @ split.k_s
-    rhs = z.T @ (z / factors[:, None])
+    rhs = split.k_s.T @ (split.k_s / factors[:, None])
     rhs = 0.5 * (rhs + rhs.T)
     defect = float(np.sqrt(((lhs - rhs) ** 2).sum()))
     return SymmetricMatrix(lhs), SymmetricMatrix(rhs), defect

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +34,7 @@ from ritzbounds.bounds import (
 )
 from ritzbounds.defect import TestSubspace as Subspace
 from ritzbounds.defect import (
+    DefectSpectrum,
     etas_moments,
     etas_schur,
     moment_matrices,
@@ -604,3 +606,133 @@ def test_converged_subspace_report_contains_true_error(n, m, log_tilt, seed):
     for e in report.entries:
         if e.valid:
             assert e.lower <= truth[e.index - 1] <= e.upper, e
+
+
+def converged_case(rng, n, m, tilt):
+    """An m-fold lowest eigenvalue c, the rest in [3c, 60c], and the
+    eigenspace tilted by ``tilt`` (turned by a random m x m rotation when
+    tilt is 0), drawn as the benchmark's converged reports draw it."""
+    q = haar_orthogonal(rng, n)
+    c = 10.0 ** rng.uniform(-2.0, 2.0)
+    lam = np.concatenate([np.full(m, c), c * (3.0 + 57.0 * np.sort(rng.random(n - m)))])
+    h = (q * lam) @ q.T
+    g = rng.standard_normal((n - m, m))
+    basis, _ = np.linalg.qr(q[:, :m] + tilt * (q[:, m:] @ (g / np.linalg.norm(g, axis=0))))
+    if tilt == 0.0:
+        basis = basis @ haar_orthogonal(rng, m)
+    return 0.5 * (h + h.T), lam, Subspace(basis)
+
+
+class TestRoutesAgree:
+    def test_more_dimensions_than_complement(self):
+        # m = 4 > n - m = 1: three defects are zero by structure, and the
+        # moment route returns rounding noise for them
+        agree = [
+            build_report(random_spd(rng, 5), Subspace(random_subspace(rng, 5, 4))).flags["routes_agree"]
+            for rng in map(np.random.default_rng, range(20))
+        ]
+        assert sum(agree) >= 19
+
+    def test_relative_disagreement_fails_below_absolute_1e_9(self):
+        eta = 1e-6
+        schur = DefectSpectrum(np.array([0.5 * eta, eta]), route="schur_block")
+        close = DefectSpectrum(np.array([0.5 * eta, eta * (1 + 0.5 * bounds.ROUTES_RTOL)]), route="moments")
+        apart = DefectSpectrum(np.array([0.5 * eta, eta * (1 + 1e-6)]), route="moments")
+        assert bounds._routes_agree(schur, close, n=10)
+        assert abs(apart.etas[-1] - eta) < 1e-9
+        assert not bounds._routes_agree(schur, apart, n=10)
+
+    def test_only_defects_that_are_not_zero_by_structure_count(self):
+        schur = DefectSpectrum(np.array([0.0, 0.0, 0.3]), route="schur_block")
+        moments = DefectSpectrum(np.array([1e-9, 1e-8, 0.3]), route="moments")
+        assert bounds._routes_agree(schur, moments, n=4)
+        assert not bounds._routes_agree(schur, moments, n=5)
+
+    def test_converged_subspaces_agree(self):
+        # the benchmark's three seed-independent converged cases, drawn in
+        # its order from one generator
+        rng = np.random.default_rng(7)
+        for n, m, tilt in ((24, 4, 1e-10), (36, 4, 1e-12), (12, 4, 0.0)):
+            h, lam, s = converged_case(rng, n, m, tilt)
+            assert build_report(h, s, lambda_ref=lam).flags["routes_agree"], tilt
+
+
+def test_tk_gap_needs_a_margin_above_the_rounding_of_mu_1():
+    # a subspace spanning an exact double lowest eigenvalue: mu_1 may round
+    # a few eps below lambda_2 = lambda_1, which is no gap at all
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        h, lam, eigenspace = clustered_spd(rng, 9, 2)
+        report = build_report(h, Subspace(eigenspace), lambda_ref=lam)
+        assert not report.flags["tk_gap"], seed
+        assert not any(e.valid for e in report.entries if e.theorem == "classical_TK"), seed
+    report = build_report(np.diag([1.0, 1.0 + 1e-9, 3.0]), span_e1())
+    assert report.flags["tk_gap"]
+
+
+def graded_24_decades(seed, n, m, tilt):
+    """``D A D`` with cond(A) <= 10, unit diag(A) and D = 2^-k for k in
+    [0, 40], so H is formed exactly and spans 24 decades; the basis tilts
+    the m lowest eigenvectors by an energy-scaled perturbation of size
+    ``tilt``.  Returns H, the basis and, from mpmath, the relative errors
+    ``(mu_i - lambda_i)/mu_i`` of the exact Ritz values of the basis."""
+    rng = np.random.default_rng(seed)
+    q = haar_orthogonal(rng, n)
+    a = (q * 10.0 ** rng.uniform(0.0, 1.0, n)) @ q.T
+    s = 1.0 / np.sqrt(np.diag(a))
+    a = s[:, None] * a * s[None, :]
+    d = 2.0 ** -rng.permutation(np.round(np.linspace(0.0, 40.0, n)))
+    h = d[:, None] * (0.5 * (a + a.T)) * d[None, :]
+    with mpmath.workdps(60):
+        values, vectors = mpmath.eigsy(mpmath.matrix(h.tolist()))
+        order = sorted(range(n), key=lambda i: values[i])
+        lam = np.array([float(values[i]) for i in order])
+        vec = np.array(vectors.tolist(), dtype=float)[:, order]
+        c = rng.standard_normal((n - m, m))
+        c /= np.linalg.norm(c, axis=0)
+        basis, _ = np.linalg.qr(vec[:, :m] + tilt * vec[:, m:] @ (c * np.sqrt(lam[:m] / lam[m:, None])))
+        b = mpmath.matrix(basis.tolist())
+        inv = mpmath.cholesky(b.T * b) ** -1
+        mu = sorted(mpmath.eigsy(inv * (b.T * mpmath.matrix(h.tolist()) * b) * inv.T, eigvals_only=True))
+        truth = [float((x - values[i]) / x) for x, i in zip(mu, order)]
+    return h, basis, truth
+
+
+GRADED_24 = [(n, m) for n in (16, 24, 32) for m in (1, 2, 4)] * 2
+
+
+@pytest.mark.parametrize("k", range(len(GRADED_24)))
+def test_report_on_24_decade_grading_contains_true_error(k):
+    n, m = GRADED_24[k]
+    tilt = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5]
+    h, basis, truth = graded_24_decades(k, n, m, tilt)
+    report = build_report(h, Subspace(basis))
+    assert report.flags["routes_agree"]
+    for e in report.entries:
+        if e.valid:
+            assert e.lower <= truth[e.index - 1] <= e.upper, e
+
+
+def test_one_factorization_of_h_per_report(monkeypatch):
+    # the split, the moment route and lambda_ref share one Cholesky factor
+    # of H; only m x m matrices are factored or diagonalized besides it
+    from ritzbounds import defect, densela
+
+    orders = {"cholesky_lower": [], "sym_eig": []}
+    for name, calls in orders.items():
+
+        def counted(a, *args, _original=getattr(densela, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(getattr(a, "entries", a))[0])
+            return _original(a, *args, **kwargs)
+
+        for module in (densela, defect, bounds):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(3)
+    for n, m, lam in ((40, 3, None), (12, 4, None), (30, 1, "exact")):
+        h, exact, eigenspace = clustered_spd(rng, n, m)
+        orders["cholesky_lower"].clear()
+        orders["sym_eig"].clear()
+        build_report(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)), lambda_ref=exact if lam else None)
+        assert sum(k > m for k in orders["cholesky_lower"]) == 1, (n, m)
+        assert all(k <= m for k in orders["sym_eig"]), (n, m)

@@ -125,6 +125,19 @@ class TestBoundsCommand:
         code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
         assert code == cli.EXIT_NOT_PD
 
+    def test_not_positive_definite_names_the_input_row(self, tmp_path, capsys):
+        # positive on the subspace, so the Cholesky factorization of H is
+        # what fails, at row 1 of the input (the last pivot once sorted)
+        matrix = tmp_path / "indef.txt"
+        write_matrix_text(matrix, np.diag([3.0, -1.0, 2.0]))
+        subspace = tmp_path / "s.txt"
+        write_matrix_text(subspace, np.eye(3)[:, :1])
+        code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
+        assert code == cli.EXIT_NOT_PD
+        assert capsys.readouterr().err == (
+            "error: operator is not positive definite: Cholesky pivot 1 is -1.000000e+00\n"
+        )
+
     def test_strict_flags_hypothesis_failure(self, tmp_path, capsys):
         # far-off test subspace: eta is large, localization hypotheses fail
         matrix = tmp_path / "h.txt"

@@ -124,20 +124,23 @@ class TestPDiagonalSplit:
             s = np.linalg.norm(split.k_s)
             assert s == pytest.approx(kappa_eta(k), rel=1e-13)
 
-    def test_block_diagonal_reconstruction(self, rng):
+    def test_matches_dense_complement_eigendecomposition(self, rng):
+        # the split never forms W = V^T H V; here it is formed and
+        # diagonalized densely
         h = random_spd(rng, 10)
         s = Subspace(random_subspace(rng, 10, 2))
         split = p_diagonal_split(h, s)
         u = split.ritz.vectors
         v = orthonormal_completion(u)
-        p = u @ u.T
-        p_perp = np.eye(10) - p
-        reference = p @ h @ p + p_perp @ h @ p_perp
-        # diag(Xi, W) in the adapted basis, from the Ritz values and W's
-        # eigendecomposition
-        w = (split.w_vectors * split.w_values) @ split.w_vectors.T
-        reconstructed = (u * split.mu) @ u.T + v @ w @ v.T
-        assert np.max(np.abs(reconstructed - reference)) <= 1e-12 * np.linalg.norm(h, 2)
+        coupling = v.T @ h @ u
+        w_values, w_vectors = np.linalg.eigh(v.T @ h @ v)
+        assert_allclose(split.w_values, w_values, rtol=1e-12)
+        assert_allclose(split.coupling, coupling, atol=1e-12 * np.linalg.norm(h, 2))
+        # K_s = W^{-1/2} C Xi^{-1/2} along W's eigenvectors, each row up to
+        # the sign of its eigenvector
+        k_s = (w_vectors / np.sqrt(w_values)).T @ coupling / np.sqrt(split.mu)
+        signs = np.sign(np.sum(k_s * split.k_s, axis=1))
+        assert_allclose(split.k_s * signs[:, None], k_s, atol=1e-12)
 
 
 class TestEtasSchur:

@@ -15,8 +15,10 @@ from ritzbounds.densela import (
     inv_sqrt,
     read_matrix_text,
     singular_values,
+    sorted_cholesky,
     sym_eig,
     ui_norm,
+    values_norm,
     write_matrix_text,
 )
 from ritzbounds.errors import (
@@ -148,6 +150,21 @@ class TestGenSymEig:
         assert_allclose(w, w_ref, rtol=1e-10, atol=1e-12)
         assert_allclose(v.T @ b @ v, np.eye(5), atol=1e-9)
 
+    def test_sorted_cholesky_factors_the_sorted_matrix(self, rng):
+        scale = np.logspace(0, 5, 6)
+        a = scale[:, None] * random_spd(rng, 6) * scale[None, :]
+        perm, ell = sorted_cholesky(a)
+        assert np.all(np.diff(np.diag(a)[perm]) <= 0)
+        assert np.array_equal(np.tril(ell), ell)
+        assert_allclose(ell @ ell.T, a[np.ix_(perm, perm)], rtol=1e-12, atol=1e-12 * np.abs(a).max())
+
+    def test_sorted_cholesky_names_the_row_of_the_input(self):
+        # sorted, the failing pivot is the last one; in the input it is row 1
+        with pytest.raises(NotPositiveDefiniteError, match="pivot 1 is") as err:
+            sorted_cholesky(np.diag([3.0, -1.0, 2.0]), what="operator")
+        assert err.value.pivot_index == 1
+        assert str(err.value).startswith("operator is not positive definite")
+
     def test_not_pd_names_pivot(self):
         b = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -216,6 +233,13 @@ class TestUiNorm:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ui_norm(np.eye(2), "nuclear-ish")
+
+    def test_values_norm_is_the_norm_of_the_diagonal_matrix(self, rng):
+        values = rng.standard_normal(5) * np.logspace(-8, 0, 5)
+        for kind in NormKind:
+            assert values_norm(values, kind) == pytest.approx(ui_norm(np.diag(values), kind), rel=1e-14)
+        assert values_norm(np.empty(0), "trace") == 0.0
+        assert values_norm([-3.0, 4.0], "spectral") == 4.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -45,8 +45,40 @@ def test_diff_lists_moved_values(tmp_path):
     assert "2 of 2 reports byte-identical" in out.getvalue()
     out = io.StringIO()
     assert report_snapshot.diff(a, b, out) == 1
-    lines = out.getvalue().splitlines()
-    assert all("test_diff_lists_moved_values #2 ." in line for line in lines[:-1])
-    assert any("relative" in line for line in lines)
+    moves, summary = out.getvalue().split("1 of 2 reports byte-identical, 1 differ\n")
+    lines = moves.splitlines()
+    assert lines and all("test_diff_lists_moved_values #2 ." in line for line in lines)
+    assert all("relative" in line for line in lines)
     moved = json.loads((b / "00002.json").read_text())["lambda_ref"][2]
     assert any(repr(moved) in line for line in lines)
+    assert summary.startswith("largest relative move per key path:\n")
+    assert summary.endswith("flipped flags: 0\n")
+
+
+def test_diff_ends_with_largest_move_per_path_and_flag_flips(tmp_path):
+    # the second report puts mu_1 = 1 on a double lowest eigenvalue, so
+    # tk_gap flips; lambda_ref moves in both reports
+    a, b = tmp_path / "a", tmp_path / "b"
+    for directory, shift, lam_2 in ((a, 0.0, 2.0), (b, 1e-6, 1.0)):
+        with report_snapshot.recording(directory):
+            _report(shift)
+            bounds.build_report(np.diag([1.0, lam_2, 3.0]), Subspace(np.eye(3)[:, :1]))
+    out = io.StringIO()
+    assert report_snapshot.diff(a, b, out) == 2
+    summary = out.getvalue().split("0 of 2 reports byte-identical, 2 differ\n")[1].splitlines()
+
+    pairs = [
+        [json.loads((d / name).read_text()) for d in (a, b)] for name in ("00001.json", "00002.json")
+    ]
+    largest = max(
+        abs(x - y) / max(abs(x), abs(y))
+        for ra, rb in pairs
+        for x, y in zip(ra["lambda_ref"], rb["lambda_ref"])
+        if x != y
+    )
+    assert summary[0] == "largest relative move per key path:"
+    assert any(line.startswith(f"  .lambda_ref[] {largest:.3g} (") for line in summary)
+    flags_a, flags_b = pairs[1][0]["flags"], pairs[1][1]["flags"]
+    flipped = [f"  .flags.{k} {flags_a[k]} -> {flags_b[k]}: 1" for k in sorted(flags_a) if flags_a[k] != flags_b[k]]
+    assert "  .flags.tk_gap True -> False: 1" in flipped
+    assert summary[-len(flipped) - 1 :] == [f"flipped flags: {len(flipped)}"] + flipped

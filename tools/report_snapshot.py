@@ -12,7 +12,9 @@ order, to ``DIR/NNNNN.json`` and the test that made it to ``DIR/index.txt``::
 
 which pairs the reports by test and call order within the test, prints
 every value that moved with its relative size, and exits 0 only when
-every report is byte-identical.
+every report is byte-identical.  It ends with a summary: the largest
+relative move per key path (list indices dropped, so ``.etas[]`` covers
+every defect) and the number of flags that flipped, per flag and value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # ---------------------------------------------------------------------------
@@ -129,6 +133,7 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
     """Print what differs between two snapshots; the number of reports moved."""
     reports_a, reports_b = _reports(Path(dir_a)), _reports(Path(dir_b))
     changed = same = 0
+    largest, moves_per_path, flips = {}, Counter(), Counter()
     for label in sorted(reports_a.keys() ^ reports_b.keys()):
         print(f"{label}: only in {dir_a if label in reports_a else dir_b}", file=out)
         changed += 1
@@ -143,8 +148,20 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
             print(f"{label}: same values, different bytes", file=out)
         for path, a, b, rel in moves:
             print(f"{label} {path}: {a!r} -> {b!r} (relative {rel:.3g})", file=out)
+            key = re.sub(r"\[\d+\]", "[]", path)
+            if isinstance(a, bool) and isinstance(b, bool):
+                flips[f"{key} {a} -> {b}"] += 1
+            else:
+                largest[key] = max(largest.get(key, 0.0), rel)
+                moves_per_path[key] += 1
     total = len(reports_a.keys() | reports_b.keys())
     print(f"{same} of {total} reports byte-identical, {changed} differ", file=out)
+    print("largest relative move per key path:", file=out)
+    for key in sorted(largest, key=lambda k: (-largest[k], k)):
+        print(f"  {key} {largest[key]:.3g} ({moves_per_path[key]} moved)", file=out)
+    print(f"flipped flags: {sum(flips.values())}", file=out)
+    for flip, count in sorted(flips.items()):
+        print(f"  {flip}: {count}", file=out)
     return changed
 
 
