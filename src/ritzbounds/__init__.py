@@ -44,6 +44,7 @@ from .densela import (
     read_matrix_text,
     singular_values,
     sym_eig,
+    sym_eigvals,
     ui_norm,
     write_matrix_text,
 )

@@ -40,7 +40,7 @@ from .defect import (
     SplitOperator,
     TestSubspace,
     _moment_gram,
-    _resolvent_factors,
+    _resolvent_term,
     dl_measure,
     etas_moments,
     etas_schur,
@@ -271,8 +271,9 @@ def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
     Evaluates ``1 + tr(lambda_q K_s^T (W - lambda_q)^{-1} K_s) / sum
     eta_i^2``, which equals ``[sum_i (mu_i - lambda_q)/mu_i] / [sum
     eta_i^2]`` when lambda_q is the exact cluster eigenvalue of full
-    multiplicity.  Tends to 1 as the complement block grows away from
-    lambda_q.
+    multiplicity.  The correction term comes from ``R^-1``, the inverse of
+    the split's ``w_factor`` (see ``defect._resolvent_term``).  Tends to 1
+    as the complement block grows away from lambda_q.
     """
     lam = float(lambda_q)
     sum_sq = float((split.k_s**2).sum())
@@ -283,8 +284,7 @@ def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
             "exactness ratio is undefined for an invariant subspace "
             "(zero defect)"
         )
-    _resolvent_factors(split, lam)  # collision check against spec(W)
-    correction = lam * float((split.k_s**2 / (split.w_values - lam)[:, None]).sum())
+    correction = float(np.trace(_resolvent_term(split, lam)))
     return 1.0 + correction / sum_sq
 
 

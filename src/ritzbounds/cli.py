@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bounds import build_report, format_report_table, report_to_csv, report_to_json
 from .defect import TestSubspace
-from .densela import read_matrix_text, sym_eig
+from .densela import read_matrix_text, sym_eig, sym_eigvals
 from .errors import (
     HypothesisError,
     MatrixParseError,
@@ -190,7 +190,7 @@ def _cmd_kappa_demo(args, parser) -> int:
         basis[0, 0] = 1.0
         split = p_diagonal_split(h, TestSubspace(basis))
         eta_computed = etas_schur(split).eta_max
-        lam1 = sym_eig(h)[0][0]
+        lam1 = sym_eigvals(h)[0]
         mu = 1 / 101
         rel_error = (mu - lam1) / mu
         rows.append(

@@ -9,7 +9,8 @@ spanned by the orthonormal columns of B, the central objects are
   orthogonal projector onto the subspace, kept as its two blocks: the
   Ritz values and the spectrum of the complement block ``W``,
 * the scaled coupling block ``K_s`` of ``H_P^{-1/2} (H - H_P) H_P^{-1/2}``,
-  in the basis (Ritz vectors, eigenvectors of W) that diagonalizes H_P,
+  taken in an orthonormal basis of the complement in which W is
+  represented by ``R R^T`` (see ``p_diagonal_split``),
 * the approximation defects ``eta_1 <= ... <= eta_m``: the singular values
   of K_s, padded with zeros.  They vanish exactly when the subspace is
   invariant, are dimensionless, and are invariant under scaling H -> c H.
@@ -31,11 +32,12 @@ from .densela import (
     SymmetricMatrix,
     _lapack,
     as_symmetric,
-    gen_sym_eig,
+    cholesky_lower,
     singular_values,
     solve_lower,
     sorted_cholesky,
     sym_eig,
+    sym_eigvals,
 )
 from .errors import NotPositiveDefiniteError, SingularOperatorError
 
@@ -158,17 +160,19 @@ class SplitOperator:
 
     The block-diagonal part is diag(Xi, W) with ``Xi = diag(mu)`` from
     ``ritz``, the Ritz data the basis starts with, and W the complement
-    block ``V^T H V``, kept as its ascending spectrum ``w_values``.
-    ``k_s`` is the (n-m) x m coupling block of the scaled defect operator
-    along W's eigenvectors in that order, whose nonzero singular values are
-    the nonzero approximation defects; ``coupling`` is the unscaled block
-    ``V^T H U`` and ``h_factor`` H's ``sorted_cholesky``.
+    block ``V^T H V``, kept as its ascending spectrum ``w_values`` and as
+    the upper triangular ``w_factor`` R.  ``k_s`` is the (n-m) x m
+    coupling block of the scaled defect operator in an orthonormal basis
+    of the complement in which W is ``R R^T``; its nonzero singular values
+    are the nonzero approximation defects.  ``coupling`` is the unscaled
+    block ``V^T H U`` and ``h_factor`` H's ``sorted_cholesky``.
     """
 
     k_s: np.ndarray
     coupling: np.ndarray
     ritz: RitzData
     w_values: np.ndarray = field(repr=False)
+    w_factor: np.ndarray = field(repr=False)
     h_factor: tuple = field(repr=False)
 
     @property
@@ -220,8 +224,13 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
 
     In the adapted orthonormal basis (Ritz vectors U, completion V) the
     block-diagonal part is diag(Xi, W), and ``K_s = W^{-1/2} (V^T H U)
-    Xi^{-1/2}``.  With ``P^T H P = L L^T`` and ``G = L^T P^T V = Q S Z^T``,
-    ``W = Z S^2 Z^T`` and ``Z^T K_s = Q^T (L^T P^T U) Xi^{-1/2}``.
+    Xi^{-1/2}``.  With ``P^T H P = L L^T``, ``G = L^T P^T V`` and the
+    Householder QR ``G[:, cols] = Q R`` of G with its columns sorted by
+    decreasing norm, ``W = G^T G`` and ``Q^T (L^T P^T U) Xi^{-1/2}`` is
+    ``K_s`` in the orthonormal basis Q of range(G), in which W is
+    ``R R^T``.  The column order is the one column pivoting starts from
+    in Cox and Higham's row-wise error analysis of Householder QR.  W's
+    spectrum is ``sigma(G)^2`` from the values-only SVD.
     """
     hm = as_symmetric(h)
     rd = ritz(hm, subspace)
@@ -229,14 +238,16 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     v = orthonormal_completion(u)
     perm, ell = h_factor = sorted_cholesky(hm, what="operator")
     g = ell.T @ v[perm]
-    # Q keeps its accuracy on graded H only with G's columns sorted by
-    # decreasing norm; S comes from the values-only SVD, as in sym_eig
     cols = np.argsort(-np.einsum("ij,ij->j", g, g), kind="stable")
-    q = _lapack(np.linalg.svd, g[:, cols], full_matrices=False)[0][:, ::-1]
-    k_s = q.T @ (ell.T @ u[perm]) / np.sqrt(rd.mu)
+    # the R factor of [G[:, cols], L^T P^T U] holds R and Q^T L^T P^T U
+    # without forming Q
+    r = np.linalg.qr(np.hstack([g[:, cols], ell.T @ u[perm]]), mode="r")
+    k = g.shape[1]
+    k_s = r[:k, k:] / np.sqrt(rd.mu)
     w_values = singular_values(g)[::-1] ** 2
     return SplitOperator(
-        k_s=k_s, coupling=v.T @ (hm.entries @ u), ritz=rd, w_values=w_values, h_factor=h_factor
+        k_s=k_s, coupling=v.T @ (hm.entries @ u), ritz=rd, w_values=w_values,
+        w_factor=r[:k, :k], h_factor=h_factor,
     )
 
 
@@ -279,15 +290,22 @@ def _moment_gram(h: np.ndarray, h_factor, rd: RitzData):
 
 
 def etas_moments(psi, omega) -> DefectSpectrum:
-    """Defects from the moment pencil: eta_i^2 solves Omega c = eta^2 Psi c."""
+    """Defects from the moment pencil: eta_i^2 solves Omega c = eta^2 Psi c.
+
+    With ``Psi = L L^T`` the squares are the eigenvalues of ``L^-1 Omega
+    L^-T``, from ``sym_eigvals``.
+    """
+    psi, omega = as_symmetric(psi), as_symmetric(omega)
     try:
-        squares, _ = gen_sym_eig(omega, psi)
+        ell = cholesky_lower(psi, what="Psi")
     except NotPositiveDefiniteError as err:
         raise NotPositiveDefiniteError(
             f"inverse-moment matrix is not positive definite (rank-deficient "
             f"test subspace?): {err}",
             pivot_index=err.pivot_index,
         ) from err
+    c = solve_lower(ell, solve_lower(ell, omega.entries).T)
+    squares = sym_eigvals(0.5 * (c + c.T))
     if squares.size and squares[0] < -1e-6:
         raise ValueError(
             f"moment pencil produced eigenvalue {squares[0]:.3e} far below "
@@ -305,7 +323,7 @@ def dl_measure(psi, mu) -> float:
         raise ValueError("Ritz values must be positive")
     root = np.sqrt(mu)
     scaled = root[:, None] * (psi.entries - np.diag(1.0 / mu)) * root[None, :]
-    values, _ = sym_eig(0.5 * (scaled + scaled.T))
+    values = _lapack(np.linalg.eigvalsh, 0.5 * (scaled + scaled.T))
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
@@ -352,19 +370,35 @@ def _resolvent_factors(split: SplitOperator, lambda_q: float) -> np.ndarray:
     return factors
 
 
+def _resolvent_term(split: SplitOperator, lambda_q: float) -> np.ndarray:
+    """``lambda_q K_s^T (W - lambda_q)^{-1} K_s``, after the collision check
+    of ``_resolvent_factors``.
+
+    In the basis of ``k_s`` W is ``R R^T``; with ``B = R^-1 k_s`` and ``M =
+    I - lambda_q R^-1 R^-T``, whose eigenvalues are ``1 - lambda_q/w_j``,
+    the term is ``lambda_q B^T M^-1 B``.  Forming ``R R^T - lambda_q``
+    instead cancels on graded H.
+    """
+    _resolvent_factors(split, lambda_q)
+    eye = np.eye(len(split.w_factor))
+    r_inv = np.linalg.solve(split.w_factor, eye)  # R is triangular: no row swaps
+    b = r_inv @ split.k_s
+    return lambda_q * (b.T @ np.linalg.solve(eye - lambda_q * (r_inv @ r_inv.T), b))
+
+
 def relative_residual_identity(split: SplitOperator, rd: RitzData, lambda_q: float):
     """Both sides of the exact relative block-residual identity.
 
     Returns ``(lhs, rhs, defect)`` with ``lhs = I - lambda_q Xi^{-1}``,
-    ``rhs = K_s^T (I - lambda_q W^{-1})^{-1} K_s`` and the Frobenius norm of
-    their difference.  When lambda_q is an eigenvalue of H whose
-    multiplicity equals the subspace dimension, the identity is exact and
-    the defect is at rounding level.
+    ``rhs = K_s^T (I - lambda_q W^{-1})^{-1} K_s``, evaluated as ``K_s^T
+    K_s + lambda_q K_s^T (W - lambda_q)^{-1} K_s`` (``_resolvent_term``),
+    and the Frobenius norm of their difference.  When lambda_q is an
+    eigenvalue of H whose multiplicity equals the subspace dimension, the
+    identity is exact and the defect is at rounding level.
     """
     lam = float(lambda_q)
     lhs = np.eye(split.m) - lam * np.diag(1.0 / rd.mu)
-    factors = _resolvent_factors(split, lam)
-    rhs = split.k_s.T @ (split.k_s / factors[:, None])
+    rhs = split.k_s.T @ split.k_s + _resolvent_term(split, lam)
     rhs = 0.5 * (rhs + rhs.T)
     defect = float(np.sqrt(((lhs - rhs) ** 2).sum()))
     return SymmetricMatrix(lhs), SymmetricMatrix(rhs), defect

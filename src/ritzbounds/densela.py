@@ -13,15 +13,17 @@ relative to the largest eigenvalue.  So ``sym_eig`` factors a
 positive-definite matrix, with its diagonal sorted to decrease, as
 ``L L^T`` and takes the eigenvalues as the squared singular values of
 ``L`` from LAPACK's values-only SVD, whose dqds stage keeps relative
-accuracy; ``singular_values`` sorts rows and columns by decreasing norm
-for the same reason.  Only numpy's own LAPACK is used: the first call of
+accuracy, and ``sym_eigvals`` returns those values without the vectors;
+``singular_values`` sorts rows and columns by decreasing norm for the
+same reason.  ``cholesky_lower`` is LAPACK's and loops in Python only to
+name the pivot that fails.  Only numpy's own LAPACK is used: the first call of
 scipy's accurate Jacobi SVD (``dgejsv``) or of ``scipy.linalg.eigh``
 raises a process's peak memory by 1.3-1.6 MB, three to four times what
 numpy's values-only SVD costs (see the README's numerical notes).
 
 Storage is dense float64 throughout; the intended problem sizes are desk
-scale: a ``build_report`` at n=2000, m=4 takes about 10 s with one BLAS
-thread.
+scale: a ``build_report`` at n=2000, m=4 takes about 7.7 s with one BLAS
+thread on a 2-core machine, 5.3 s of it in two values-only SVDs.
 """
 
 from __future__ import annotations
@@ -168,6 +170,21 @@ def sym_eig(a):
     return sigma[::-1] ** 2, _normalize_signs(vectors)
 
 
+def sym_eigvals(a) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix, the values
+    ``sym_eig`` returns without its eigenvectors: the squared values-only
+    SVD of the ``sorted_cholesky`` factor, or ``numpy.linalg.eigvalsh``
+    when that factorization fails."""
+    m = as_symmetric(a)
+    if m.n == 0:
+        return np.empty(0)
+    try:
+        _, ell = sorted_cholesky(m)
+    except NotPositiveDefiniteError:
+        return _lapack(np.linalg.eigvalsh, m.entries)
+    return singular_values(ell)[::-1] ** 2
+
+
 def sorted_cholesky(a, what: str = "matrix"):
     """``(perm, L)``: ``P^T A P = L L^T`` with ``P^T x == x[perm]`` and a
     decreasing diagonal, which keeps the singular values of ``L`` relatively
@@ -185,9 +202,17 @@ def sorted_cholesky(a, what: str = "matrix"):
 def cholesky_lower(a, what: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    Raises NotPositiveDefiniteError naming the first failing pivot index.
+    The factor is ``numpy.linalg.cholesky``'s.  Only when LAPACK fails, or
+    leaves a non-finite entry, does a row loop factor the matrix again, to
+    raise NotPositiveDefiniteError naming the first failing pivot index.
     """
     a = _as_array(a)
+    try:
+        ell = np.linalg.cholesky(a)
+        if np.isfinite(ell).all():
+            return ell
+    except np.linalg.LinAlgError:
+        pass
     n = a.shape[0]
     ell = np.zeros((n, n))
     for j in range(n):

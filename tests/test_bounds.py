@@ -408,7 +408,9 @@ class TestExactnessRatio:
     def test_large_complement_limit(self, rng):
         # scaling W far away from lambda forces the correction term to zero
         h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
-        inflated = dataclasses.replace(split, w_values=split.w_values * 1e6)
+        inflated = dataclasses.replace(
+            split, w_values=split.w_values * 1e6, w_factor=split.w_factor * 1e3
+        )
         assert exactness_ratio(inflated, lam[0]) == pytest.approx(1.0, abs=1e-5)
 
     def test_zero_defect_rejected(self, rng):
@@ -736,3 +738,69 @@ def test_one_factorization_of_h_per_report(monkeypatch):
         build_report(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)), lambda_ref=exact if lam else None)
         assert sum(k > m for k in orders["cholesky_lower"]) == 1, (n, m)
         assert all(k <= m for k in orders["sym_eig"]), (n, m)
+
+
+def test_report_takes_no_singular_vectors_beyond_m_and_no_gen_sym_eig(monkeypatch):
+    # the split needs only an orthonormal basis of range(G) and the moment
+    # pencil only its eigenvalues; m x m matrices (the compression) remain
+    from ritzbounds import defect, densela
+
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("gen_sym_eig called")
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for module in (densela, defect, bounds):
+        if hasattr(module, "gen_sym_eig"):
+            monkeypatch.setattr(module, "gen_sym_eig", refused)
+    rng = np.random.default_rng(5)
+    for n, m in ((40, 3), (12, 4), (9, 1)):
+        h, _, eigenspace = clustered_spd(rng, n, m)
+        shapes.clear()
+        build_report(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)))
+        assert shapes and all(max(shape) <= m for shape in shapes), (n, m, shapes)
+
+
+def exactness_correction_mp(h, basis, lam, dps=50):
+    """``exactness_ratio - 1`` in mpmath for the exact H, subspace and
+    ``lam``: ``lam tr(A^-1 C^T W^-1 (W - lam)^-1 C) / tr(A^-1 C^T W^-1 C)``
+    with ``A = B^T H B``, ``C = V^T H B``, ``W = V^T H V`` for orthonormal
+    B and V spanning the subspace and its complement, which is the ratio's
+    quotient of traces over ``K_s`` in any bases."""
+    m = basis.shape[1]
+    with mpmath.workdps(dps):
+        hm = mpmath.matrix(h.tolist())
+        b = mpmath.matrix(basis.tolist())
+        b = b * (mpmath.cholesky(b.T * b) ** -1).T
+        v = mpmath.matrix(scipy.linalg.null_space(basis.T).tolist())
+        v = v - b * (b.T * v)
+        v = v * (mpmath.cholesky(v.T * v) ** -1).T
+        w, c = v.T * hm * v, v.T * hm * b
+        a_inv = (b.T * hm * b) ** -1
+        w_inv_c = w**-1 * c
+        shifted = (w - lam * mpmath.eye(w.rows)) ** -1 * w_inv_c
+        num, den = a_inv * c.T * shifted, a_inv * c.T * w_inv_c
+        return float(lam * sum(num[i, i] for i in range(m)) / sum(den[i, i] for i in range(m)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 6, 7, 12])
+def test_exactness_correction_on_24_decade_grading_matches_mpmath(k):
+    # five of the nine cases with tilt 1e-2..1e-4 and ratio - 1 above
+    # 1e-5: there the float inputs (the Cholesky factor, the Ritz vectors)
+    # move the ratio by about eps / eta, far below 1e-10; at tilt 1e-6
+    # that floor is a few 1e-10, and below 1e-7 the rounding of 1 + x
+    # dominates
+    n, m = GRADED_24[k]
+    tilt = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5]
+    h, basis, _ = graded_24_decades(k, n, m, tilt)
+    split = p_diagonal_split(h, Subspace(basis))
+    lam = float(sym_eig(h)[0][0])
+    exact = exactness_correction_mp(h, basis, lam)
+    assert exactness_ratio(split, lam) - 1.0 == pytest.approx(exact, rel=1e-10)

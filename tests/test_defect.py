@@ -136,11 +136,19 @@ class TestPDiagonalSplit:
         w_values, w_vectors = np.linalg.eigh(v.T @ h @ v)
         assert_allclose(split.w_values, w_values, rtol=1e-12)
         assert_allclose(split.coupling, coupling, atol=1e-12 * np.linalg.norm(h, 2))
-        # K_s = W^{-1/2} C Xi^{-1/2} along W's eigenvectors, each row up to
-        # the sign of its eigenvector
+        # K_s = W^{-1/2} C Xi^{-1/2} along W's eigenvectors; the split's k_s
+        # is K_s in another orthonormal basis, with the same singular values
         k_s = (w_vectors / np.sqrt(w_values)).T @ coupling / np.sqrt(split.mu)
-        signs = np.sign(np.sum(k_s * split.k_s, axis=1))
-        assert_allclose(split.k_s * signs[:, None], k_s, atol=1e-12)
+        assert_allclose(
+            np.linalg.svd(split.k_s, compute_uv=False), np.linalg.svd(k_s, compute_uv=False), rtol=1e-12
+        )
+        # below W's spectrum, as in a report, and inside it
+        for lam in (split.mu[0], 0.5 * (w_values[3] + w_values[4])):
+            resolvent = k_s.T @ (k_s / (1.0 - lam / w_values)[:, None])
+            term = defect._resolvent_term(split, lam)
+            assert_allclose(term, resolvent - k_s.T @ k_s, rtol=1e-10, atol=1e-12 * np.abs(resolvent).max())
+            rhs = relative_residual_identity(split, split.ritz, lam)[1].entries
+            assert_allclose(rhs, resolvent, rtol=1e-10, atol=1e-12 * np.abs(resolvent).max())
 
 
 class TestEtasSchur:

@@ -11,12 +11,14 @@ from ritzbounds.densela import (
     NormKind,
     SymmetricMatrix,
     as_symmetric,
+    cholesky_lower,
     gen_sym_eig,
     inv_sqrt,
     read_matrix_text,
     singular_values,
     sorted_cholesky,
     sym_eig,
+    sym_eigvals,
     ui_norm,
     values_norm,
     write_matrix_text,
@@ -170,6 +172,25 @@ class TestGenSymEig:
         with pytest.raises(NotPositiveDefiniteError) as err:
             gen_sym_eig(np.eye(3), b)
         assert err.value.pivot_index == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cholesky_lower_is_lapacks_factor(self, seed):
+        rng = np.random.default_rng(seed)
+        for a in (random_spd(rng, 40), graded_spd(rng, grading(rng, 30))):
+            assert np.array_equal(cholesky_lower(a), np.linalg.cholesky(a))
+
+
+class TestSymEigvals:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_values_of_sym_eig(self, seed):
+        rng = np.random.default_rng(seed)
+        for a in (random_spd(rng, 12), graded_spd(rng, grading(rng, 20)), kappa_matrix(100.0)):
+            assert np.array_equal(sym_eigvals(a), sym_eig(a)[0])
+
+    def test_indefinite_and_empty(self, rng):
+        a = random_spd(rng, 6) - 2.0 * np.eye(6)
+        assert_allclose(sym_eigvals(a), np.linalg.eigvalsh(a), rtol=1e-12, atol=1e-12)
+        assert sym_eigvals(np.empty((0, 0))).shape == (0,)
 
 
 class TestInvSqrt:

@@ -51,13 +51,16 @@ def test_diff_lists_moved_values(tmp_path):
     assert all("relative" in line for line in lines)
     moved = json.loads((b / "00002.json").read_text())["lambda_ref"][2]
     assert any(repr(moved) in line for line in lines)
-    assert summary.startswith("largest relative move per key path:\n")
+    assert summary.startswith("largest relative move per key path, largest defect in A above 1e-08:\n")
+    assert "largest relative move per key path, largest defect in A at or below 1e-08:\nflipped" in summary
     assert summary.endswith("flipped flags: 0\n")
 
 
 def test_diff_ends_with_largest_move_per_path_and_flag_flips(tmp_path):
     # the second report puts mu_1 = 1 on a double lowest eigenvalue, so
-    # tk_gap flips; lambda_ref moves in both reports
+    # tk_gap flips; lambda_ref moves in both reports.  The first report's
+    # defect is about 0.03, the second's is zero: the summary lists their
+    # moves apart
     a, b = tmp_path / "a", tmp_path / "b"
     for directory, shift, lam_2 in ((a, 0.0, 2.0), (b, 1e-6, 1.0)):
         with report_snapshot.recording(directory):
@@ -70,14 +73,17 @@ def test_diff_ends_with_largest_move_per_path_and_flag_flips(tmp_path):
     pairs = [
         [json.loads((d / name).read_text()) for d in (a, b)] for name in ("00001.json", "00002.json")
     ]
-    largest = max(
-        abs(x - y) / max(abs(x), abs(y))
+    assert max(pairs[0][0]["etas"]) > report_snapshot.WELL_CONDITIONED_ETA
+    assert max(pairs[1][0]["etas"]) <= report_snapshot.WELL_CONDITIONED_ETA
+    largest = [
+        max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(ra["lambda_ref"], rb["lambda_ref"]) if x != y)
         for ra, rb in pairs
-        for x, y in zip(ra["lambda_ref"], rb["lambda_ref"])
-        if x != y
-    )
-    assert summary[0] == "largest relative move per key path:"
-    assert any(line.startswith(f"  .lambda_ref[] {largest:.3g} (") for line in summary)
+    ]
+    assert largest[0] < 1e-5 < largest[1]
+    below = summary.index("largest relative move per key path, largest defect in A at or below 1e-08:")
+    assert summary[0] == "largest relative move per key path, largest defect in A above 1e-08:"
+    assert any(line.startswith(f"  .lambda_ref[] {largest[0]:.3g} (") for line in summary[1:below])
+    assert any(line.startswith(f"  .lambda_ref[] {largest[1]:.3g} (") for line in summary[below:])
     flags_a, flags_b = pairs[1][0]["flags"], pairs[1][1]["flags"]
     flipped = [f"  .flags.{k} {flags_a[k]} -> {flags_b[k]}: 1" for k in sorted(flags_a) if flags_a[k] != flags_b[k]]
     assert "  .flags.tk_gap True -> False: 1" in flipped

@@ -14,7 +14,11 @@ which pairs the reports by test and call order within the test, prints
 every value that moved with its relative size, and exits 0 only when
 every report is byte-identical.  It ends with a summary: the largest
 relative move per key path (list indices dropped, so ``.etas[]`` covers
-every defect) and the number of flags that flipped, per flag and value.
+every defect), once over the reports whose largest defect in A is above
+``WELL_CONDITIONED_ETA = 1e-8`` and once over those at or below it, where
+the defects sit near their rounding floor and every value built from
+them moves with it; then the number of flags that flipped, per flag and
+value.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
+
+#: The summary's split: reports whose largest defect in A is above this
+#: are summarized apart from the near-invariant ones at or below it.
+WELL_CONDITIONED_ETA = 1e-8
 
 # ---------------------------------------------------------------------------
 # Recording
@@ -133,7 +141,10 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
     """Print what differs between two snapshots; the number of reports moved."""
     reports_a, reports_b = _reports(Path(dir_a)), _reports(Path(dir_b))
     changed = same = 0
-    largest, moves_per_path, flips = {}, Counter(), Counter()
+    # largest move and number of moves per key path, per side of the split
+    largest = {True: {}, False: {}}
+    moves_per_path = {True: Counter(), False: Counter()}
+    flips = Counter()
     for label in sorted(reports_a.keys() ^ reports_b.keys()):
         print(f"{label}: only in {dir_a if label in reports_a else dir_b}", file=out)
         changed += 1
@@ -143,7 +154,9 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
             same += 1
             continue
         changed += 1
-        moves = list(_moved(json.loads(text_a), json.loads(text_b)))
+        report_a = json.loads(text_a)
+        above = max(report_a["etas"]) > WELL_CONDITIONED_ETA
+        moves = list(_moved(report_a, json.loads(text_b)))
         if not moves:
             print(f"{label}: same values, different bytes", file=out)
         for path, a, b, rel in moves:
@@ -152,13 +165,19 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
             if isinstance(a, bool) and isinstance(b, bool):
                 flips[f"{key} {a} -> {b}"] += 1
             else:
-                largest[key] = max(largest.get(key, 0.0), rel)
-                moves_per_path[key] += 1
+                largest[above][key] = max(largest[above].get(key, 0.0), rel)
+                moves_per_path[above][key] += 1
     total = len(reports_a.keys() | reports_b.keys())
     print(f"{same} of {total} reports byte-identical, {changed} differ", file=out)
-    print("largest relative move per key path:", file=out)
-    for key in sorted(largest, key=lambda k: (-largest[k], k)):
-        print(f"  {key} {largest[key]:.3g} ({moves_per_path[key]} moved)", file=out)
+    for above, side in ((True, "above"), (False, "at or below")):
+        print(
+            f"largest relative move per key path, largest defect in A {side} "
+            f"{WELL_CONDITIONED_ETA:g}:",
+            file=out,
+        )
+        moved = largest[above]
+        for key in sorted(moved, key=lambda k: (-moved[k], k)):
+            print(f"  {key} {moved[key]:.3g} ({moves_per_path[above][key]} moved)", file=out)
     print(f"flipped flags: {sum(flips.values())}", file=out)
     for flip, count in sorted(flips.items()):
         print(f"  {flip}: {count}", file=out)
