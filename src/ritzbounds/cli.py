@@ -39,7 +39,6 @@ from .errors import (
 )
 from .models import (
     DEFAULT_ALPHA,
-    DEFAULT_K_TRUNC,
     hkappa_matrix,
     hkappa_reference,
     schrodinger_bounds,
@@ -62,6 +61,10 @@ _LOWEST_RE = re.compile(r"^lowest-(\d+)$")
 
 #: Mesh counts ``fem-periodic`` accepts.
 MESH_MIN, MESH_MAX = 8, 10**6
+
+#: Default of ``fem-periodic --k-trunc``.  The option keeps its parsing and
+#: its exit code 2 but changes no column: the moments are exact alias sums.
+DEFAULT_K_TRUNC = 20000
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -241,9 +244,7 @@ def _cmd_fem_periodic(args, parser) -> int:
     columns = ("N", "lower", "middle", "upper")
     rows = []
     for n_mesh in sorted(args.n_list):
-        lower, middle, upper = table1_row(
-            n_mesh, alpha=args.alpha, k_trunc=args.k_trunc
-        )
+        lower, middle, upper = table1_row(n_mesh, alpha=args.alpha)
         rows.append((n_mesh, lower, middle, upper))
     text = _csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
     _emit(text, args.out)
@@ -341,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-trunc",
         type=lambda s: _bounded_int(s, "k-trunc", 1),
         default=DEFAULT_K_TRUNC,
-        help="frequency cutoff |k| <= K of the inverse moments, K >= 1; the "
-        "upper column carries a bound on the tail beyond it (default %(default)s)",
+        help="accepted for compatibility, an integer K >= 1; the inverse moments "
+        "are exact alias sums, so it changes no column (default %(default)s)",
     )
     p_fem.add_argument("--out", help="output path (default stdout)")
     p_fem.add_argument("--format", choices=("csv", "table"), default="csv")

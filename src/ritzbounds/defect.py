@@ -50,6 +50,14 @@ INVERTIBILITY_RTOL = 1e-12
 ORTHONORMALIZATION_WARN = 1e-8
 
 
+def _check_shape(basis: np.ndarray) -> None:
+    if basis.ndim != 2:
+        raise ValueError(f"basis must be a 2-d array, got ndim={basis.ndim}")
+    n, m = basis.shape
+    if not 1 <= m < n:
+        raise ValueError(f"need 1 <= dim < ambient dim, got basis shape {basis.shape}")
+
+
 @dataclass(frozen=True)
 class TestSubspace:
     """Orthonormal basis of the trial space, shape (n, m) with 1 <= m < n."""
@@ -58,14 +66,10 @@ class TestSubspace:
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
-        if b.ndim != 2:
-            raise ValueError(f"basis must be a 2-d array, got ndim={b.ndim}")
-        n, m = b.shape
-        if not 1 <= m < n:
-            raise ValueError(f"need 1 <= dim < ambient dim, got basis shape {b.shape}")
+        _check_shape(b)
         if not np.isfinite(b).all():
             raise ValueError("basis entries must be finite (found nan or inf)")
-        gram_defect = np.max(np.abs(b.T @ b - np.eye(m)))
+        gram_defect = np.max(np.abs(b.T @ b - np.eye(b.shape[1])))
         if gram_defect > 1e-12:
             raise ValueError(
                 f"basis columns are not orthonormal: max |B^T B - I| = {gram_defect:.3e}"
@@ -91,6 +95,7 @@ class TestSubspace:
         c = np.asarray(columns, dtype=float)
         if c.ndim == 1:
             c = c[:, None]
+        _check_shape(c)
         q, r = np.linalg.qr(c)
         if np.min(np.abs(np.diag(r))) <= 1e-12 * max(np.max(np.abs(r)), 1e-300):
             raise ValueError("spanning columns are numerically rank deficient")

@@ -18,10 +18,11 @@ The periodic model is the source of the mesh-refinement reference table:
 ``table1_row`` returns the defect aggregate, the true relative-error
 aggregate, and the quadratic cluster bound for the two nearly singular
 lowest modes at ``alpha = 0.2499``.  Those modes and their value come in
-closed form (``fem_ritz``); their inverse moments are one FFT and one Gram
-product over the N alias classes of frequencies (``_alias_gram``), and the
-upper column carries a rigorous bound on the truncated frequency tail.
-``fem_assemble`` keeps the dense pencil as the reference the tests solve.
+closed form (``fem_ritz``), and their inverse moments are multiples of
+the identity given by two scalar sums over the aliases ``1/2 + jN`` of
+their frequency (``periodic_moment_matrix``), exact to rounding at every
+admitted N.  ``fem_assemble`` keeps the dense pencil as the reference the
+tests solve.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .bounds import cluster_upper_bound, relative_gap_gq
 from .defect import RitzData, etas_moments
-from .densela import SymmetricMatrix
+from .densela import SymmetricMatrix, values_norm
 from .errors import HypothesisError
 
 PI = math.pi
@@ -237,7 +238,12 @@ def schrodinger_bounds(kappa: float):
 # ---------------------------------------------------------------------------
 
 DEFAULT_ALPHA = 0.2499
-DEFAULT_K_TRUNC = 20000
+
+#: Aliases summed term by term on each side of omega = 1/2 for the
+#: O(omega^-4) parts of the periodic moments.  The part they leave out
+#: falls like n_mesh^-2: it is below 5e-15 relative for n_mesh >= 8 and
+#: alpha >= -1, and 5.6e-13 at n_mesh = 8, alpha = -100.
+ALIAS_TERMS = 10_000
 
 
 def periodic_exact(alpha: float, k: int):
@@ -293,111 +299,93 @@ def _check_shift(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and below 1/4, got alpha = {alpha}")
 
 
+def _half_mode(n_mesh: int):
+    """``(z, sin z, z - sin z, mu - lambda_1)`` for the lowest discrete pair.
+
+    With ``z = pi/(2 n_mesh)`` and s = sin z, the pair sits
+    ``(2 s^2 - 3 (z - s)(z + s)/z^2) / (4 (3 - 2 s^2))`` above lambda_1 for
+    every alpha: no cancellation once z - sin z is summed from its series,
+    whose eight terms reach rounding level for every n_mesh >= 4.
+    """
+    if n_mesh < 4:
+        raise ValueError(f"mesh count must be >= 4, got {n_mesh}")
+    z = PI / (2 * n_mesh)
+    s = math.sin(z)
+    z_minus_s = sum(
+        (-1) ** j * z ** (2 * j + 3) / math.factorial(2 * j + 3) for j in range(7, -1, -1)
+    )
+    return z, s, z_minus_s, (2 * s * s - 3 * z_minus_s * (z + s) / z**2) / (4 * (3 - 2 * s * s))
+
+
 def fem_ritz(n_mesh: int, alpha: float = DEFAULT_ALPHA) -> RitzData:
     """The lowest pair of the discretized pencil, in closed form.
 
     Each frequency omega = k + 1/2 diagonalizes the P1 pencil with the
     double value ``12 sin^2(omega h/2) / (h^2 (2 + cos omega h)) - alpha``.
     At omega = 1/2 the nodal vectors are cos(x_p/2) and sin(x_p/2), of
-    squared mass norm pi (2 + cos omega h) / 3, and with x = omega h/2,
-    s = sin x the value is ``lambda_1 + (2 s^2 - 3 (x - s)(x + s) / x^2) /
-    (4 (3 - 2 s^2))``: no cancellation once x - sin x is summed from its
-    series, whose eight terms reach rounding level for every n_mesh >= 4.
+    squared mass norm pi (2 + cos omega h) / 3; the value is lambda_1 plus
+    the distance of ``_half_mode``.
     """
     _check_shift(alpha)
-    if n_mesh < 4:
-        raise ValueError(f"mesh count must be >= 4, got {n_mesh}")
-    x = PI / (2 * n_mesh)
-    s = math.sin(x)
-    x_minus_s = sum(
-        (-1) ** j * x ** (2 * j + 3) / math.factorial(2 * j + 3) for j in range(7, -1, -1)
-    )
-    mu = (0.25 - alpha) + (2 * s * s - 3 * x_minus_s * (x + s) / x**2) / (4 * (3 - 2 * s * s))
+    _, s, _, distance = _half_mode(n_mesh)
+    mu = (0.25 - alpha) + distance
     half_nodes = PI * np.arange(n_mesh) / n_mesh
     vectors = np.column_stack([np.cos(half_nodes), np.sin(half_nodes)])
     return RitzData(mu=np.full(2, mu), vectors=vectors / math.sqrt(PI * (1 - 2 * s * s / 3)))
 
 
-def _alias_gram(vectors: np.ndarray, k_trunc: int, weight) -> np.ndarray:
-    """``(1/2 pi) sum_{|k| <= k_trunc} weight(omega) Re conj(f_i) f_j`` for
-    the Fourier coefficients f of the P1 nodal columns at omega = k + 1/2.
+def periodic_moment_matrix(n_mesh: int, alpha: float = DEFAULT_ALPHA):
+    """``(Psi, Omega)`` of ``fem_ritz``'s pair, as ``defect.moment_matrices``
+    returns them: multiples of I, from sums over the aliases ``omega_j =
+    1/2 + j n_mesh`` with ``lambda_j = omega_j^2 - alpha``.
 
-    A wrapped hat at x_p has transform ``exp(i omega x_p) shape(omega)``,
-    ``shape = 4 sin^2(omega h/2) / (omega^2 h)``, so ``f(k) = c_hat[k mod N]
-    shape`` with the twisted DFT ``c_hat[r] = sum_p c_p exp(i (r + 1/2)
-    x_p)``.  Frequencies k and k + N are aliases, and the sum is one Gram
-    product over the N classes with weights ``sum_{k = r mod N} shape^2
-    weight``.
+    The pair's Fourier coefficients live on +-omega_j, with the weights
+    ``(N sin z)^4 / (pi^4 (1 - 2/3 sin^2 z) omega_j^4)``, so Psi sums
+    ``1/(omega_j^4 lambda_j)`` and Omega, in residual form, ``(lambda_j -
+    mu)^2 / (omega_j^4 lambda_j mu^2)``, never subtracting 1/mu.  The j = 0
+    terms take d = mu - lambda_1 from ``_half_mode``; the 1/omega^2 part of
+    Omega's other terms sums to ``4 (z - sin z)(z + sin z)/sin^2 z``, and
+    the O(omega^-4) rest is summed over ``ALIAS_TERMS`` aliases a side.
     """
-    n_mesh = vectors.shape[0]
-    h = 2.0 * PI / n_mesh
-    twist = np.exp(0.5j * h * np.arange(n_mesh))
-    # norm="forward" leaves the inverse transform, a sum over exp(+i ...), unscaled
-    c_hat = np.fft.ifft(vectors * twist[:, None], axis=0, norm="forward")
-    k = np.arange(-k_trunc, k_trunc + 1)
-    omega = k + 0.5
-    shape = 4.0 * np.sin(omega * h / 2.0) ** 2 / (omega**2 * h)
-    classes = np.bincount(k % n_mesh, shape**2 * weight(omega), minlength=n_mesh)
-    g = c_hat * np.sqrt(classes)[:, None]
-    gram = (g.conj().T @ g).real / (2.0 * PI)
-    return 0.5 * (gram + gram.T)
-
-
-def _moment_tail_bound(coeffs_a, coeffs_b, n_mesh: int, k_trunc: int) -> float:
-    """Rigorous bound on the discarded |k| > k_trunc part of the moment sum.
-
-    With |f| <= 4 ||c||_1 / (omega^2 h) and lambda >= (8/9) omega^2, true
-    for |omega| >= 3/2 and so for k_trunc >= 1, a discarded term is at most
-    ``9 ||a||_1 ||b||_1 / (pi h^2 omega^6)``; by convexity the terms sum
-    below the integrals over [k_trunc, inf) and [k_trunc + 1, inf).
-    """
-    if k_trunc < 1:
-        raise ValueError(f"the tail bound needs k_trunc >= 1, got {k_trunc}")
-    h = 2.0 * PI / n_mesh
-    l1 = float(np.abs(coeffs_a).sum() * np.abs(coeffs_b).sum())
-    return 9.0 * l1 / (PI * h**2) * (k_trunc**-5.0 + (k_trunc + 1) ** -5.0) / 5.0
-
-
-def periodic_moment_matrix(
-    rd: RitzData, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT_K_TRUNC
-) -> SymmetricMatrix:
-    """Inverse moments ``(u_i, H^{-1} u_j)`` of P1 nodal vectors by expansion
-    in the exact modes (eigenvalues omega^2 - alpha) over |k| <= k_trunc;
-    the discarded part is positive semidefinite."""
     _check_shift(alpha)
-    return SymmetricMatrix(_alias_gram(rd.vectors, k_trunc, lambda omega: 1.0 / (omega**2 - alpha)))
+    z, s, z_minus_s, distance = _half_mode(n_mesh)
+    lam1 = 0.25 - alpha
+    mu = lam1 + distance
+    j = np.arange(1, ALIAS_TERMS + 1) * n_mesh
+    omega2 = np.concatenate([(j + 0.5) ** 2, (j - 0.5) ** 2])
+    lam = omega2 - alpha
+    omega4 = omega2 * omega2
+    b = 16.0 / lam1 + np.sum(1.0 / (omega4 * lam))
+    a = (
+        16.0 * distance**2 / lam1
+        + 4.0 * z_minus_s * (z + s) / (s * s)
+        + np.sum((mu * mu / lam - (alpha + 2.0 * mu)) / omega4)
+    )
+    scale = (n_mesh * s) ** 4 / (PI**4 * (1 - 2 * s * s / 3))
+    eye = np.eye(2)
+    return SymmetricMatrix(scale * b * eye), SymmetricMatrix(scale * a / mu**2 * eye)
 
 
-def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA, k_trunc: int = DEFAULT_K_TRUNC):
+def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA):
     """Reference-table row for the two lowest anti-periodic modes.
 
     Returns ``(lower, middle, upper)``:
 
-    * lower  - Frobenius norm of diag(eta_1^2, eta_2^2); truncating Psi can
-      only lower the defects, so this stays a lower estimate,
+    * lower  - Frobenius norm of diag(eta_1^2, eta_2^2), the defects of
+      ``periodic_moment_matrix``,
     * middle - Frobenius norm of I - lambda Xi^{-1} with the exact double
-      eigenvalue lambda,
-    * upper  - the quadratic cluster bound at the exact relative gap, with
-      the defects of ``Psi + tau I``; tau, the sum of the diagonal tail
-      bounds, bounds the trace of the truncated part.
+      eigenvalue lambda, ``sqrt(2) d/mu`` from ``_half_mode``'s distance d,
+    * upper  - the quadratic cluster bound at the exact relative gap.
 
     The gap is taken from the exact spectrum beyond the cluster: by
     min-max the discrete pencil values there lie above the exact third
     eigenvalue, so they never set it.
     """
-    rd = fem_ritz(n_mesh, alpha)
-    mu = rd.mu
-    tau = sum(_moment_tail_bound(c, c, n_mesh, k_trunc) for c in rd.vectors.T)
-    psi = periodic_moment_matrix(rd, alpha, k_trunc).entries
-
-    def defects(moments):
-        return etas_moments(SymmetricMatrix(moments), SymmetricMatrix(moments - np.diag(1.0 / mu)))
-
+    defects = etas_moments(*periodic_moment_matrix(n_mesh, alpha))
     lam1, _ = periodic_exact(alpha, 1)
-    lower = float(np.sqrt(((defects(psi).etas ** 2) ** 2).sum()))
-    middle = float(np.sqrt(((1.0 - lam1 / mu) ** 2).sum()))
-
+    distance = _half_mode(n_mesh)[3]
+    lower = values_norm(defects.etas**2, "frobenius")
+    middle = math.sqrt(2.0) * distance / (lam1 + distance)
     exact_rest = [periodic_exact(alpha, k)[0] for k in range(3, 9)]
-    g = relative_gap_gq(exact_rest, lam1)
-    upper = cluster_upper_bound(defects(psi + tau * np.eye(rd.m)), g, "frobenius")
+    upper = cluster_upper_bound(defects, relative_gap_gq(exact_rest, lam1), "frobenius")
     return lower, middle, upper

@@ -309,15 +309,20 @@ def check_schrodinger_taylor_agreement(rng):
 
 def check_fem_table_consistency(rng):
     lower, middle, upper = _models.table1_row(40)
-    ok = abs(middle - lower) <= 2e-4 and lower <= middle <= upper
+    if not (abs(middle - lower) <= 2e-4 and lower <= middle <= upper):
+        return False, f"N=40: lower {lower:.6e}, middle {middle:.6e}, upper {upper:.6e}"
+    # the top of the admitted range: upper exceeds middle by 5.0e-5 exactly
+    lower, middle, upper = _models.table1_row(10**5)
+    ok = lower <= middle <= upper and upper / middle - 1 <= 1e-4
     return ok, (
-        f"N=40: lower {lower:.6e}, middle {middle:.6e}, upper {upper:.6e}"
+        f"N=1e5: lower {lower:.6e}, middle {middle:.6e}, upper {upper:.6e}, "
+        f"upper/middle - 1 = {upper / middle - 1:.1e}"
     )
 
 
 def check_model_determinism(rng):
-    a = _models.table1_row(16, k_trunc=2000)
-    b = _models.table1_row(16, k_trunc=2000)
+    a = _models.table1_row(16)
+    b = _models.table1_row(16)
     la = _models.schrodinger_lambda(100.0, 1)
     lb = _models.schrodinger_lambda(100.0, 1)
     ok = a == b and la == lb

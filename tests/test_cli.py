@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +117,17 @@ class TestBoundsCommand:
         code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
         assert code == cli.EXIT_FAILURE
         assert capsys.readouterr().err == "error: spanning columns are numerically rank deficient\n"
+
+    def test_too_many_subspace_columns_is_reported(self, tmp_path, capsys):
+        matrix = tmp_path / "h.txt"
+        write_matrix_text(matrix, np.diag([1.0, 2.0, 3.0]))
+        subspace = tmp_path / "s.txt"
+        write_matrix_text(subspace, np.arange(12.0).reshape(3, 4) ** 2)  # full rank 3
+        code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "error: need 1 <= dim < ambient dim, got basis shape (3, 4)\n"
+        )
 
     def test_not_positive_definite_exit_code(self, tmp_path):
         matrix = tmp_path / "indef.txt"
@@ -266,6 +278,25 @@ class TestModelCommands:
         code = run_cli("fem-periodic", "--n-list", "40", "--alpha", alpha)
         assert code == cli.EXIT_FAILURE
         assert "alpha" in capsys.readouterr().err
+
+    def test_fem_periodic_top_of_range_is_ordered(self, capsys):
+        code = run_cli("fem-periodic", "--n-list", "100000,1000000")
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [r[0] for r in rows] == [1e5, 1e6]
+        for n_mesh, lower, middle, upper in rows:
+            assert middle <= upper <= middle * (1 + 1e-4)
+            # at N=1e6 the exact middle - lower margin, 6.6e-17 relative, is
+            # below a double's rounding
+            assert lower <= middle + (2 * math.ulp(middle) if n_mesh == 1e6 else 0.0)
+
+    def test_fem_periodic_k_trunc_changes_no_column(self, capsys):
+        outputs = []
+        for k_trunc in ("1", "20000"):
+            assert run_cli("fem-periodic", "--n-list", "40,1000", "--k-trunc", k_trunc) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_fem_periodic_large_mesh_in_fresh_process(self):
         src = str(Path(ritzbounds.__file__).resolve().parents[1])

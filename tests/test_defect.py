@@ -81,6 +81,16 @@ class TestTestSubspace:
         with pytest.raises(ValueError):
             Subspace.from_columns(cols)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 3), (3, 0)])
+    def test_from_columns_rejects_column_count_before_qr(self, shape, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the column count is checked before the QR")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        cols = np.ones(shape)
+        with pytest.raises(ValueError, match="need 1 <= dim < ambient dim"):
+            Subspace.from_columns(cols)
+
 
 class TestRitz:
     def test_invariant_coordinate_subspace(self):

@@ -7,12 +7,11 @@ from numpy.testing import assert_allclose
 
 from ritzbounds import models
 from ritzbounds.defect import TestSubspace as Subspace
-from ritzbounds.defect import RitzData, etas_schur, p_diagonal_split
+from ritzbounds.defect import etas_schur, p_diagonal_split
 from ritzbounds.densela import cholesky_lower, gen_sym_eig, sym_eig
 from ritzbounds.errors import HypothesisError
 from ritzbounds.models import (
     DEFAULT_ALPHA,
-    DEFAULT_K_TRUNC,
     fem_assemble,
     fem_ritz,
     hkappa_matrix,
@@ -302,82 +301,29 @@ class TestFemRitz:
 
 
 class TestHinvMoments:
-    def test_parseval_against_mass_matrix(self, rng):
-        # the same expansion with unit weights must reproduce the L2 inner
-        # product, which the consistent mass matrix gives exactly
-        n = 12
-        v = rng.standard_normal((n, 2))
-        gram = models._alias_gram(v, 3000, np.ones_like)
-        _, mass = fem_assemble(n, 0.0)
-        reference = v.T @ mass.entries @ v
-        assert np.max(np.abs(gram - reference)) <= 1e-8 * np.max(np.abs(reference))
-
-    def test_alias_gram_matches_phase_sum(self, rng):
-        # O(N k_trunc) reference: every frequency's coefficient from the
-        # full node-phase matrix, no alias classes and no FFT
-        n, alpha, k_trunc = 12, DEFAULT_ALPHA, 300
-        v = rng.standard_normal((n, 2))
-        h = 2 * PI / n
-        omega = np.arange(-k_trunc, k_trunc + 1) + 0.5
-        shape = 4 * np.sin(omega * h / 2) ** 2 / (omega**2 * h)
-        coeffs = np.exp(1j * np.outer(omega, h * np.arange(n))) @ v * shape[:, None]
-        reference = (coeffs.conj().T @ (coeffs / (omega**2 - alpha)[:, None])).real / (2 * PI)
-        psi = periodic_moment_matrix(RitzData(mu=np.ones(2), vectors=v), alpha, k_trunc)
-        assert_allclose(psi.entries, reference, rtol=1e-13, atol=1e-13 * np.max(np.abs(reference)))
-
-    def test_eigenmode_action(self):
-        # the P1 interpolant of cos(omega x) excites only the aliases
-        # +-omega + jN of its mode, each with node sum N/2, so the inverse
-        # moment weights exactly those frequencies by 1/lambda
-        n, alpha, k_trunc, mode = 10, DEFAULT_ALPHA, 500, 3.5
-        h = 2 * PI / n
-        c = np.cos(mode * h * np.arange(n))
-        rd = RitzData(mu=np.ones(1), vectors=c[:, None])
-        got = periodic_moment_matrix(rd, alpha, k_trunc).entries[0, 0]
-        expected = 0.0
-        for k in range(-k_trunc, k_trunc + 1):
-            w = k + 0.5
-            if (w - mode) % n == 0 or (w + mode) % n == 0:
-                shape = 4 * math.sin(w * h / 2) ** 2 / (w**2 * h)
-                expected += (n / 2) ** 2 * shape**2 / (w**2 - alpha) / (2 * PI)
-        assert got == pytest.approx(expected, rel=1e-13)
-
     def test_galerkin_monotonicity_of_first_moment(self):
-        rd = fem_ritz(40)
-        psi = periodic_moment_matrix(rd).entries
-        assert psi[0, 0] >= 1.0 / rd.mu[0]
+        psi, _ = periodic_moment_matrix(40)
+        assert psi.entries[0, 0] >= 1.0 / fem_ritz(40).mu[0]
 
-    def test_doubling_k_trunc_stays_within_tail_bound(self):
-        rd = fem_ritz(16)
-        coarse = periodic_moment_matrix(rd, k_trunc=200).entries
-        fine = periodic_moment_matrix(rd, k_trunc=400).entries
-        for i in range(2):
-            assert fine[i, i] >= coarse[i, i]
-            for j in range(2):
-                tail = models._moment_tail_bound(rd.vectors[:, i], rd.vectors[:, j], 16, 200)
-                assert abs(fine[i, j] - coarse[i, j]) <= tail
-
-    @pytest.mark.parametrize("n", [4, 5, 8])
-    @pytest.mark.parametrize("k_trunc", [1, 2, 5])
-    def test_tail_bound_covers_dropped_part(self, n, k_trunc):
-        # a single hat, and on odd meshes the alternating vector, put the
-        # largest possible coefficient on the first discarded frequencies
-        for c in (np.eye(n)[0], (-1.0) ** np.arange(n)):
-            rd = RitzData(mu=np.ones(1), vectors=c[:, None])
-            kept = periodic_moment_matrix(rd, k_trunc=k_trunc).entries[0, 0]
-            full = periodic_moment_matrix(rd, k_trunc=20000).entries[0, 0]
-            full += models._moment_tail_bound(c, c, n, 20000)
-            assert full - kept <= models._moment_tail_bound(c, c, n, k_trunc)
-
-    def test_tail_bound_needs_k_trunc_at_least_one(self):
-        c = fem_ritz(16).vectors[:, 0]
-        with pytest.raises(ValueError, match="k_trunc"):
-            models._moment_tail_bound(c, c, 16, 0)
+    @pytest.mark.parametrize("n", [16, 40, 160])
+    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, 0.0, -1.0])
+    def test_residual_form_matches_difference(self, n, alpha):
+        # Omega is summed in residual form; for the Ritz pair it equals
+        # Psi - diag(1/mu), up to that subtraction's rounding of Psi
+        psi, omega = periodic_moment_matrix(n, alpha)
+        mu = fem_ritz(n, alpha).mu
+        expected = psi.entries - np.diag(1.0 / mu)
+        assert_allclose(omega.entries, expected, rtol=0, atol=4 * np.finfo(float).eps * psi.entries[0, 0])
 
     def test_moment_matrix_symmetric(self):
-        rd = fem_ritz(24)
-        psi = periodic_moment_matrix(rd, k_trunc=2000)
-        assert np.array_equal(psi.entries, psi.entries.T)
+        for matrix in periodic_moment_matrix(24):
+            assert np.array_equal(matrix.entries, matrix.entries.T)
+
+    def test_rejects_shift_and_tiny_mesh(self):
+        with pytest.raises(ValueError, match="alpha"):
+            periodic_moment_matrix(40, 0.25)
+        with pytest.raises(ValueError, match="mesh count"):
+            periodic_moment_matrix(3)
 
 
 class TestModelBoundInterplay:
@@ -410,20 +356,19 @@ class TestTableRow:
         assert lower <= middle <= upper
 
     def test_columns_shrink_under_refinement(self):
-        coarse = table1_row(16, k_trunc=4000)
-        fine = table1_row(32, k_trunc=4000)
+        coarse = table1_row(16)
+        fine = table1_row(32)
         assert all(f < c for f, c in zip(fine, coarse))
 
-    @pytest.mark.parametrize("n, rtol", [(40, 1e-13), (160, 1e-13), (400, 1e-13), (10**4, 1e-10)])
-    def test_matches_mpmath_oracle(self, n, rtol):
+    @pytest.mark.parametrize("n", [8, 40, 160, 400, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, 0.2, 0.0, -1.0])
+    def test_matches_mpmath_oracle(self, n, alpha):
         # the cos/sin pair only sees the aliases 1/2 + jN, with weights
         # shape^2 proportional to (sin^2(h/4) / ((1/2 + jN) h/2)^2)^2, so
-        # Psi = (sum weight / lambda) / (sum weight) times I; the upper
-        # column adds the tail tau that the row carries
-        rd = fem_ritz(n)
-        tau = sum(models._moment_tail_bound(c, c, n, DEFAULT_K_TRUNC) for c in rd.vectors.T)
+        # Psi and Omega are the full class sums, divided by the weight sum,
+        # times I; Omega in residual form
         with mpmath.workdps(40):
-            a = mpmath.mpf(DEFAULT_ALPHA)
+            a = mpmath.mpf(alpha)
             h = 2 * mpmath.pi / n
             w = mpmath.mpf(0.5)
             mu = 12 * mpmath.sin(w * h / 2) ** 2 / (h**2 * (2 + mpmath.cos(w * h))) - a
@@ -432,28 +377,23 @@ class TestTableRow:
             def weight(j):
                 return (mpmath.sin(w * h / 2) ** 2 / ((w + j * n) * h / 2) ** 2) ** 2
 
-            psi = mpmath.nsum(lambda j: weight(j) / ((w + j * n) ** 2 - a), [-mpmath.inf, mpmath.inf])
-            psi /= mpmath.nsum(weight, [-mpmath.inf, mpmath.inf])
+            def class_sum(f):
+                return mpmath.nsum(lambda j: weight(j) * f((w + j * n) ** 2 - a), [-mpmath.inf, mpmath.inf])
+
+            psi = class_sum(lambda lam: 1 / lam)
+            omega = class_sum(lambda lam: (lam - mu) ** 2 / lam) / mu**2
+            eta2 = omega / psi
             root2 = mpmath.sqrt(2)
             expected = [
-                root2 * (1 - 1 / (mu * psi)),
-                root2 * (1 - lam1 / mu),
-                root2 * (1 - 1 / (mu * (psi + tau))) * lam3 / (lam3 - lam1),
+                root2 * eta2,
+                root2 * (mu - lam1) / mu,
+                root2 * eta2 * lam3 / (lam3 - lam1),
             ]
             expected = [float(e) for e in expected]
-        assert_allclose(table1_row(n), expected, rtol=rtol, atol=0)
-
-    @pytest.mark.parametrize("n", [40, 160, 10**4])
-    def test_tail_keeps_columns_ordered(self, n):
-        # truncation can only lower the defects; the carried tail keeps the
-        # upper column above the truth and lets it fall as k_trunc grows
-        uppers = []
-        for k_trunc in (1, 3, 50, 20000):
-            lower, middle, upper = table1_row(n, k_trunc=k_trunc)
-            assert lower <= middle <= upper
-            uppers.append(upper)
-        assert uppers == sorted(uppers, reverse=True)
-
-    def test_rejects_k_trunc_below_one(self):
-        with pytest.raises(ValueError, match="k_trunc"):
-            table1_row(40, k_trunc=0)
+        lower, middle, upper = row = table1_row(n, alpha)
+        assert_allclose(row, expected, rtol=1e-14, atol=0)
+        # ordered; at N=1e6 the exact middle - lower margin, 6.6e-17
+        # relative at the default shift, is below a double's rounding
+        assert lower <= middle + 2 * math.ulp(middle) and middle <= upper
+        if n <= 10**5:
+            assert lower <= middle
