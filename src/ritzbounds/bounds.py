@@ -39,10 +39,8 @@ from .defect import (
     DefectSpectrum,
     SplitOperator,
     TestSubspace,
-    _moment_gram,
     _resolvent_term,
-    dl_measure,
-    etas_moments,
+    _scaled_residual,
     etas_schur,
     p_diagonal_split,
 )
@@ -245,7 +243,8 @@ def abs_cluster_bounds(k_block, mu, lambda_mp1: float, kind) -> float:
     For the coupling block K of H in the adapted basis,
     ``|||diag(mu_i - lambda)||| <= |||K||| ||K|| / (lambda_{m+1} - mu_m -
     ||K||)``.  The trace variant uses the residual sum ||K||_F^2 in place
-    of |||K||| ||K||.  Requires ||K|| < lambda_{m+1} - mu_m.
+    of |||K||| ||K||.  Requires ||K|| < lambda_{m+1} - mu_m.  The residual
+    block ``R = H U - U M`` may stand for K: ``V^T R = K``, ``U^T R = 0``.
     """
     kind = NormKind.coerce(kind)
     k = np.asarray(k_block, dtype=float)
@@ -379,17 +378,20 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     ``tk_gap`` needs ``lambda_2 - mu_1`` above ``n eps |u_1|^T |H| |u_1|``,
     the a-priori rounding bound of the quadratic form ``mu_1 = u_1^T H u_1``,
     so that a mu_1 computed just below a double lowest eigenvalue fails it.
+    ``tk_gap`` and ``abs_gap`` also need q = 1: Temple-Kato bounds ``mu_1 -
+    lambda_1`` and the absolute cluster bound covers ``lambda_1..lambda_m``.
     """
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
     split = p_diagonal_split(hm, subspace)
     rd = split.ritz
     ds = etas_schur(split)
-    psi, omega = _moment_gram(hm.entries, split.h_factor, rd)
-    ds_moments = etas_moments(psi, omega)
     m = subspace.dim
     mu = rd.mu
     mu_1, mu_m = float(mu[0]), float(mu[-1])
+    z = _scaled_residual(split.h_factor, split.residual, mu)
+    s = singular_values(z)[::-1]
+    ds_moments = DefectSpectrum(etas=s / np.sqrt(1.0 + s * s), route="moments")
 
     if lambda_ref is None:
         lambda_ref = singular_values(split.h_factor[1])[::-1] ** 2  # sym_eig(h)[0]
@@ -417,10 +419,10 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
         mu_m=mu_m,
     )
     try:
-        abs_bound = abs_cluster_bounds(split.coupling, mu, lam_mp1, kind)
+        abs_bound = abs_cluster_bounds(split.residual, mu, lam_mp1, kind)
     except HypothesisError:
         abs_bound = None
-    abs_gap = abs_bound is not None
+    abs_gap = q == 1 and abs_bound is not None
     if math.isinf(lam_mp1):  # no (m+1)-th reference value, no bound to report
         abs_bound = None
 
@@ -429,6 +431,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     mu_1_rounding = hm.n * np.finfo(float).eps * float(u_1 @ np.abs(hm.entries) @ u_1)
     rel_tol = 1e-8
     cluster_is_multiple = abs(float(lambda_ref[q + m - 2]) - lam_q) <= rel_tol * abs(lam_q)
+    mu_1_below_2 = len(lambda_ref) > 1 and float(lambda_ref[1]) - mu_1 > mu_1_rounding
     flags = {
         "routes_agree": _routes_agree(ds, ds_moments, hm.n),
         "cluster_multiplicity": bool(
@@ -437,7 +440,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
         "eta_vs_gamma": bool(eta_m / (1.0 - eta_m) < gam),
         "mu_below_next": bool(q == 1 and mu_m < lam_mp1),
         "two_eta_below_one": bool(2.0 * eta_m < 1.0),
-        "tk_gap": bool(len(lambda_ref) > 1 and float(lambda_ref[1]) - mu_1 > mu_1_rounding),
+        "tk_gap": bool(q == 1 and mu_1_below_2),
         "abs_gap": abs_gap,
     }
 
@@ -446,13 +449,12 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     s_lo, s_hi = sandwich_bounds(ds, g_1 or INF, kind)
     t_lo, t_hi = trace_sandwich(ds, g_1 or INF)
     s_hi, t_hi = (_finite_or_none(s_hi), _finite_or_none(t_hi)) if g_1 > 0 else (None, None)
-    ratios = mu * np.diag(omega.entries)
-    dl = dl_measure(psi, mu)
+    ratios = np.einsum("ij,ij->j", z, z)
+    dl = float(s[-1] ** 2)
     r_lo, r_hi = residual_eta_sandwich(ratios, dl)
     tk_lower = tk_rel = None
-    if flags["tk_gap"]:
-        u1 = rd.vectors[:, 0]
-        res = hm.entries @ u1 - mu_1 * u1
+    if mu_1_below_2:
+        res = split.residual[:, 0]
         res_sq, lam_2 = float(res @ res), float(lambda_ref[1])
         tk_lower = classical_temple_kato(mu_1, res_sq, lam_2)
         # the relative drop directly: mu minus the lower bound cancels to

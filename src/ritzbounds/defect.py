@@ -18,7 +18,11 @@ spanned by the orthonormal columns of B, the central objects are
 Two routes compute the defects from one sorted Cholesky factor of H, and
 neither forms W: the singular values of the block (``etas_schur``), from
 products with the factor, and the generalized eigenvalues of the inverse-
-moment pencil (``etas_moments``), from solves with it; they cross-check.
+moment pencil ``Omega c = eta^2 Psi c`` (``etas_moments``), from solves
+with it; they cross-check.  For Ritz vectors ``Psi = M^-1 + Omega``,
+``M = diag(mu)``, and ``Z^T Z = M^{1/2} Omega M^{1/2}`` for the residual
+block ``H U - U M`` solved by ``_scaled_residual``: the squared defects
+are ``s^2 / (1 + s^2)`` for the singular values s of Z.
 """
 
 from __future__ import annotations
@@ -169,12 +173,12 @@ class SplitOperator:
     the upper triangular ``w_factor`` R.  ``k_s`` is the (n-m) x m
     coupling block of the scaled defect operator in an orthonormal basis
     of the complement in which W is ``R R^T``; its nonzero singular values
-    are the nonzero approximation defects.  ``coupling`` is the unscaled
-    block ``V^T H U`` and ``h_factor`` H's ``sorted_cholesky``.
+    are the nonzero approximation defects, ``residual`` is the block ``H U
+    - U Xi`` and ``h_factor`` H's ``sorted_cholesky``.
     """
 
     k_s: np.ndarray
-    coupling: np.ndarray
+    residual: np.ndarray
     ritz: RitzData
     w_values: np.ndarray = field(repr=False)
     w_factor: np.ndarray = field(repr=False)
@@ -228,8 +232,8 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     """Block splitting of H along the subspace, with the scaled coupling.
 
     In the adapted orthonormal basis (Ritz vectors U, completion V) the
-    block-diagonal part is diag(Xi, W), and ``K_s = W^{-1/2} (V^T H U)
-    Xi^{-1/2}``.  With ``P^T H P = L L^T``, ``G = L^T P^T V`` and the
+    block-diagonal part is diag(Xi, W), and ``K_s = W^{-1/2} V^T (H U - U
+    Xi) Xi^{-1/2}``.  With ``P^T H P = L L^T``, ``G = L^T P^T V`` and the
     Householder QR ``G[:, cols] = Q R`` of G with its columns sorted by
     decreasing norm, ``W = G^T G`` and ``Q^T (L^T P^T U) Xi^{-1/2}`` is
     ``K_s`` in the orthonormal basis Q of range(G), in which W is
@@ -251,7 +255,7 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     k_s = r[:k, k:] / np.sqrt(rd.mu)
     w_values = singular_values(g)[::-1] ** 2
     return SplitOperator(
-        k_s=k_s, coupling=v.T @ (hm.entries @ u), ritz=rd, w_values=w_values,
+        k_s=k_s, residual=hm.entries @ u - u * rd.mu, ritz=rd, w_values=w_values,
         w_factor=r[:k, :k], h_factor=h_factor,
     )
 
@@ -270,28 +274,25 @@ def etas_schur(split: SplitOperator) -> DefectSpectrum:
 def moment_matrices(h, rd: RitzData):
     """Inverse-moment matrix Psi and the Galerkin-error Gram matrix Omega.
 
-    With ``P^T H P = L L^T``, ``Psi[i, j] = (u_i, H^{-1} u_j)`` is the Gram
-    matrix of ``X = L^-1 P^T U``.  For Ritz vectors ``Omega`` equals
-    ``Psi - diag(1/mu)``, but that difference cancels to noise (and can
-    turn negative) once the subspace is nearly invariant.  It is formed
-    instead from the residuals ``R = H U - U M``, ``M = diag(mu)``, as
-    ``M^-1 R^T H^-1 R M^-1``, the Gram matrix of ``Y = L^-1 P^T R M^-1``,
-    so both are positive semidefinite by construction.  The quadruple-
-    product definition is kept as a test oracle.
+    ``Psi[i, j] = (u_i, H^{-1} u_j)`` and ``Omega = M^-1 R^T H^-1 R M^-1``,
+    from the residuals ``R = H U - U M``, ``M = diag(mu)``.  For Ritz
+    vectors ``Psi = M^-1 + Omega``, and both come from ``Z^T Z = M^{1/2}
+    Omega M^{1/2}`` (``_scaled_residual``): Omega is positive semidefinite
+    by construction, and nothing cancels once the subspace is nearly
+    invariant.  The quadruple-product definition is kept as a test oracle.
     """
     hm = as_symmetric(h)
-    return _moment_gram(hm.entries, sorted_cholesky(hm, what="operator"), rd)
-
-
-def _moment_gram(h: np.ndarray, h_factor, rd: RitzData):
-    """``moment_matrices`` from H's entries and its ``sorted_cholesky``."""
-    perm, ell = h_factor
     u = rd.vectors
-    z = solve_lower(ell, np.hstack([u, h @ u - u * rd.mu])[perm])
-    x, y = z[:, : rd.m], z[:, rd.m :] / rd.mu
-    psi = x.T @ x
-    omega = y.T @ y
-    return SymmetricMatrix(0.5 * (psi + psi.T)), SymmetricMatrix(0.5 * (omega + omega.T))
+    z = _scaled_residual(sorted_cholesky(hm, what="operator"), hm.entries @ u - u * rd.mu, rd.mu)
+    omega = SymmetricMatrix(z.T @ z / np.sqrt(np.outer(rd.mu, rd.mu)))
+    return SymmetricMatrix(np.diag(1.0 / rd.mu) + omega.entries), omega
+
+
+def _scaled_residual(h_factor, residual: np.ndarray, mu) -> np.ndarray:
+    """``Z = L^-1 P^T R M^{-1/2}`` from H's ``sorted_cholesky`` ``(perm, L)``,
+    the residual block R and the Ritz values mu."""
+    perm, ell = h_factor
+    return solve_lower(ell, residual[perm] / np.sqrt(mu))
 
 
 def etas_moments(psi, omega) -> DefectSpectrum:

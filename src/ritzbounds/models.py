@@ -240,9 +240,8 @@ def schrodinger_bounds(kappa: float):
 DEFAULT_ALPHA = 0.2499
 
 #: Aliases summed term by term on each side of omega = 1/2 for the
-#: O(omega^-4) parts of the periodic moments.  The part they leave out
-#: falls like n_mesh^-2: it is below 5e-15 relative for n_mesh >= 8 and
-#: alpha >= -1, and 5.6e-13 at n_mesh = 8, alpha = -100.
+#: O(omega^-4) parts of the periodic moments; the rest is carried by its
+#: leading asymptotic term (``periodic_moment_matrix``).
 ALIAS_TERMS = 10_000
 
 
@@ -345,7 +344,10 @@ def periodic_moment_matrix(n_mesh: int, alpha: float = DEFAULT_ALPHA):
     mu)^2 / (omega_j^4 lambda_j mu^2)``, never subtracting 1/mu.  The j = 0
     terms take d = mu - lambda_1 from ``_half_mode``; the 1/omega^2 part of
     Omega's other terms sums to ``4 (z - sin z)(z + sin z)/sin^2 z``, and
-    the O(omega^-4) rest is summed over ``ALIAS_TERMS`` aliases a side.
+    the O(omega^-4) rest is summed over ``J = ALIAS_TERMS`` aliases a side
+    plus the tail ``-2 (alpha + 2 mu) / (3 n_mesh^4 J^3)`` beyond them,
+    which would otherwise grow with |alpha| (5.6e-13 relative at n_mesh =
+    8, alpha = -100).
     """
     _check_shift(alpha)
     z, s, z_minus_s, distance = _half_mode(n_mesh)
@@ -360,6 +362,7 @@ def periodic_moment_matrix(n_mesh: int, alpha: float = DEFAULT_ALPHA):
         16.0 * distance**2 / lam1
         + 4.0 * z_minus_s * (z + s) / (s * s)
         + np.sum((mu * mu / lam - (alpha + 2.0 * mu)) / omega4)
+        - 2.0 * (alpha + 2.0 * mu) / (3.0 * float(n_mesh) ** 4 * ALIAS_TERMS**3)
     )
     scale = (n_mesh * s) ** 4 / (PI**4 * (1 - 2 * s * s / 3))
     eye = np.eye(2)

@@ -346,7 +346,9 @@ class TestAbsClusterBounds:
         # eigenvalue, so the unscaled bound is not even applicable here
         h = kappa_matrix(10.0)
         split = p_diagonal_split(h, span_e1())
-        k_raw = split.coupling
+        k_raw = split.residual
+        # the residual of e_1 is -e_3 / 101, all of it in the complement
+        assert_allclose(k_raw[:, 0], [0.0, 0.0, -1 / 101], atol=1e-17)
         lam = sym_eig(h)[0]
         with pytest.raises(HypothesisError):
             abs_cluster_bounds(k_raw, np.array([1 / 101]), lam[1], "spectral")
@@ -357,7 +359,7 @@ class TestAbsClusterBounds:
         k = 10.0
         h = np.array([[1 / 101, -1 / 101], [-1 / 101, 1 + k**2]])
         split = p_diagonal_split(h, span_e1(2))
-        k_raw = split.coupling
+        k_raw = split.residual
         lam = sym_eig(h)[0]
         mu = np.array([1 / 101])
         bound = abs_cluster_bounds(k_raw, mu, lam[1], "spectral")
@@ -369,7 +371,7 @@ class TestAbsClusterBounds:
             s = Subspace(tilted_basis(rng, eigenspace, 0.01))
             rd = ritz(h, s)
             split = p_diagonal_split(h, s)
-            k_raw = split.coupling
+            k_raw = split.residual
             for kind in ("spectral", "frobenius"):
                 bound = abs_cluster_bounds(k_raw, rd.mu, lam[2], kind)
                 actual = ui_norm(np.diag(rd.mu - lam[0]), kind)
@@ -670,6 +672,92 @@ def test_tk_gap_needs_a_margin_above_the_rounding_of_mu_1():
         assert not any(e.valid for e in report.entries if e.theorem == "classical_TK"), seed
     report = build_report(np.diag([1.0, 1.0 + 1e-9, 3.0]), span_e1())
     assert report.flags["tk_gap"]
+
+
+def dl_mp(h, basis, dps=60):
+    """``dl`` of the exact Ritz data of the stored basis B and H, in
+    mpmath: Ritz values mu and vectors U from the pencil ``(B^T H B, B^T
+    B)``, the residuals ``R = H U - U M`` and ``dl = ||M^{1/2} Omega
+    M^{1/2}||_2 = ||M^{-1/2} R^T H^-1 R M^{-1/2}||_2``."""
+    m = basis.shape[1]
+    with mpmath.workdps(dps):
+        hm = mpmath.matrix(h.tolist())
+        b = mpmath.matrix(basis.tolist())
+        hb = hm * b
+        inv = mpmath.cholesky(b.T * b) ** -1
+        mu, y = mpmath.eigsy(inv * (b.T * hb) * inv.T)
+        t = inv.T * y
+        r = hb * t - b * t * mpmath.diag(mu)
+        h_inv_r = [mpmath.lu_solve(hm, r[:, j]) for j in range(m)]
+        scaled = mpmath.matrix(m, m)
+        for i in range(m):
+            for j in range(m):
+                scaled[i, j] = (r[:, i].T * h_inv_r[j])[0] / mpmath.sqrt(mu[i] * mu[j])
+        return float(max(mpmath.eigsy(scaled, eigvals_only=True)))
+
+
+DL_TILTS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("tilt", DL_TILTS)
+def test_dl_matches_mpmath_on_converged_subspaces(tilt):
+    # dl is about eta^2 ~ tilt^2; formed from the residuals it keeps the
+    # relative accuracy of R itself, about eps ||H|| / ||R|| ~ eps / tilt,
+    # where Psi - diag(1/mu) loses about eps / tilt^2
+    rng = np.random.default_rng(DL_TILTS.index(tilt))
+    for n, m in ((24, 2), (36, 4)):
+        h, lam, s = converged_case(rng, n, m, tilt)
+        exact = dl_mp(h, s.basis)
+        dl = build_report(h, s, lambda_ref=lam).aggregates["dl"]
+        assert dl == pytest.approx(exact, rel=1e-6 if tilt >= 1e-10 else 1e-4, abs=0), (n, m)
+
+
+def test_report_moment_side_matches_the_pencil_form(monkeypatch):
+    # on well-conditioned draws the report's moment side, taken from the
+    # singular values of one scaled residual block, equals the pencil form
+    # of the public API: etas_moments, dl_measure and mu diag(Omega)
+    seen = []
+    routes_agree = bounds._routes_agree
+
+    def recorded(schur, moments, n):
+        seen.append(moments)
+        return routes_agree(schur, moments, n)
+
+    monkeypatch.setattr(bounds, "_routes_agree", recorded)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(2 * m + 2, 24))
+        h = random_spd(rng, n)
+        s = Subspace(random_subspace(rng, n, m))
+        report = build_report(h, s)
+        rd = ritz(h, s)
+        psi, omega = moment_matrices(h, rd)
+        assert seen[-1].route == "moments"
+        assert_allclose(seen[-1].etas, etas_moments(psi, omega).etas, rtol=1e-12, atol=0)
+        assert report.aggregates["dl"] == pytest.approx(dl_measure_psi(psi, rd.mu), rel=1e-12, abs=0)
+        ratios = rd.mu * np.diag(omega.entries)
+        assert report.aggregates["residual_eta_upper"] == pytest.approx(ratios.sum(), rel=1e-12, abs=0)
+
+
+def test_classical_bounds_are_valid_only_for_the_lowest_target():
+    # Temple-Kato bounds mu_1 - lambda_1 and the absolute cluster bound
+    # covers lambda_1..lambda_m; a subspace near the lowest eigenvector,
+    # reported against q = 2, is no estimate of lambda_2 = 2
+    rng = np.random.default_rng(3)
+    lam = np.array([1.0, 2.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+    q = haar_orthogonal(rng, 8)
+    h = 0.5 * ((q * lam) @ q.T + ((q * lam) @ q.T).T)
+    s = Subspace(np.linalg.qr(q[:, :1] + 1e-3 * q[:, 2:3])[0])
+    for target in (1, 2):
+        report = build_report(h, s, lambda_ref=lam, q=target)
+        assert report.flags["tk_gap"] == report.flags["abs_gap"] == (target == 1), target
+        truth = (report.mu[0] - lam[target - 1]) / report.mu[0]
+        classical = [e for e in report.entries if e.theorem in ("classical_TK", "abs_cluster")]
+        assert len(classical) == 2, target
+        for e in report.entries:
+            if e.valid:
+                assert e.lower <= truth <= e.upper, (target, e)
 
 
 def graded_24_decades(seed, n, m, tilt):

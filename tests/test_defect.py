@@ -145,7 +145,12 @@ class TestPDiagonalSplit:
         coupling = v.T @ h @ u
         w_values, w_vectors = np.linalg.eigh(v.T @ h @ v)
         assert_allclose(split.w_values, w_values, rtol=1e-12)
-        assert_allclose(split.coupling, coupling, atol=1e-12 * np.linalg.norm(h, 2))
+        # the residual block's complement part is the coupling block, and
+        # its part along the Ritz vectors vanishes
+        r = split.residual
+        assert np.linalg.norm(v.T @ r) == pytest.approx(np.linalg.norm(coupling), rel=1e-12)
+        assert_allclose(v.T @ r, coupling, atol=1e-12 * np.linalg.norm(h, 2))
+        assert np.max(np.abs(u.T @ r)) <= 1e-13 * np.linalg.norm(h, 2)
         # K_s = W^{-1/2} C Xi^{-1/2} along W's eigenvectors; the split's k_s
         # is K_s in another orthonormal basis, with the same singular values
         k_s = (w_vectors / np.sqrt(w_values)).T @ coupling / np.sqrt(split.mu)

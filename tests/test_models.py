@@ -361,7 +361,7 @@ class TestTableRow:
         assert all(f < c for f, c in zip(fine, coarse))
 
     @pytest.mark.parametrize("n", [8, 40, 160, 400, 10**4, 10**5, 10**6])
-    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, 0.2, 0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, 0.2, 0.0, -1.0, -100.0])
     def test_matches_mpmath_oracle(self, n, alpha):
         # the cos/sin pair only sees the aliases 1/2 + jN, with weights
         # shape^2 proportional to (sin^2(h/4) / ((1/2 + jN) h/2)^2)^2, so

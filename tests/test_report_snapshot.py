@@ -88,3 +88,17 @@ def test_diff_ends_with_largest_move_per_path_and_flag_flips(tmp_path):
     flipped = [f"  .flags.{k} {flags_a[k]} -> {flags_b[k]}: 1" for k in sorted(flags_a) if flags_a[k] != flags_b[k]]
     assert "  .flags.tk_gap True -> False: 1" in flipped
     assert summary[-len(flipped) - 1 :] == [f"flipped flags: {len(flipped)}"] + flipped
+
+
+def test_summary_counts_rises_and_falls(tmp_path):
+    # raising h_33 = 5 + shift raises lambda_1 and lambda_3, keeps
+    # lambda_2 = 2 and lowers the defect of e_1
+    a, b = tmp_path / "a", tmp_path / "b"
+    for directory, shift in ((a, 0.0), (b, 1e-3)):
+        with report_snapshot.recording(directory):
+            _report(shift)
+    out = io.StringIO()
+    report_snapshot.diff(a, b, out)
+    summary = {line.split()[0]: line for line in out.getvalue().splitlines() if line.startswith("  .")}
+    assert summary[".lambda_ref[]"].endswith("(2 moved, 2 rose, 0 fell)")
+    assert summary[".etas[]"].endswith("(1 moved, 0 rose, 1 fell)")

@@ -14,7 +14,8 @@ which pairs the reports by test and call order within the test, prints
 every value that moved with its relative size, and exits 0 only when
 every report is byte-identical.  It ends with a summary: the largest
 relative move per key path (list indices dropped, so ``.etas[]`` covers
-every defect), once over the reports whose largest defect in A is above
+every defect) with the number of values that moved, rose and fell, once
+over the reports whose largest defect in A is above
 ``WELL_CONDITIONED_ETA = 1e-8`` and once over those at or below it, where
 the defects sit near their rounding floor and every value built from
 them moves with it; then the number of flags that flipped, per flag and
@@ -141,9 +142,12 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
     """Print what differs between two snapshots; the number of reports moved."""
     reports_a, reports_b = _reports(Path(dir_a)), _reports(Path(dir_b))
     changed = same = 0
-    # largest move and number of moves per key path, per side of the split
+    # largest move and number of moves, rises and falls per key path, per
+    # side of the split
     largest = {True: {}, False: {}}
     moves_per_path = {True: Counter(), False: Counter()}
+    rises = {True: Counter(), False: Counter()}
+    falls = {True: Counter(), False: Counter()}
     flips = Counter()
     for label in sorted(reports_a.keys() ^ reports_b.keys()):
         print(f"{label}: only in {dir_a if label in reports_a else dir_b}", file=out)
@@ -167,6 +171,9 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
             else:
                 largest[above][key] = max(largest[above].get(key, 0.0), rel)
                 moves_per_path[above][key] += 1
+                if all(isinstance(v, (int, float)) for v in (a, b)):
+                    rises[above][key] += b > a
+                    falls[above][key] += b < a
     total = len(reports_a.keys() | reports_b.keys())
     print(f"{same} of {total} reports byte-identical, {changed} differ", file=out)
     for above, side in ((True, "above"), (False, "at or below")):
@@ -177,7 +184,11 @@ def diff(dir_a, dir_b, out=sys.stdout) -> int:
         )
         moved = largest[above]
         for key in sorted(moved, key=lambda k: (-moved[k], k)):
-            print(f"  {key} {moved[key]:.3g} ({moves_per_path[above][key]} moved)", file=out)
+            print(
+                f"  {key} {moved[key]:.3g} ({moves_per_path[above][key]} moved, "
+                f"{rises[above][key]} rose, {falls[above][key]} fell)",
+                file=out,
+            )
     print(f"flipped flags: {sum(flips.values())}", file=out)
     for flip, count in sorted(flips.items()):
         print(f"  {flip}: {count}", file=out)
