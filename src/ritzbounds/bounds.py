@@ -28,6 +28,7 @@ hypothesis failed (the flag records it instead).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -39,6 +40,8 @@ from .defect import (
     DefectSpectrum,
     SplitOperator,
     TestSubspace,
+    _complement_values,
+    _lowest_eigenvalues,
     _resolvent_term,
     _scaled_residual,
     etas_schur,
@@ -270,9 +273,10 @@ def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
     Evaluates ``1 + tr(lambda_q K_s^T (W - lambda_q)^{-1} K_s) / sum
     eta_i^2``, which equals ``[sum_i (mu_i - lambda_q)/mu_i] / [sum
     eta_i^2]`` when lambda_q is the exact cluster eigenvalue of full
-    multiplicity.  The correction term comes from ``R^-1``, the inverse of
-    the split's ``w_factor`` (see ``defect._resolvent_term``).  Tends to 1
-    as the complement block grows away from lambda_q.
+    multiplicity.  The correction term comes from the leading block
+    ``S11``, W^-1 in a basis of the complement, of the split's inverse
+    Gram (see ``defect._resolvent_term``).  Tends to 1 as the complement
+    block grows away from lambda_q.
     """
     lam = float(lambda_q)
     sum_sq = float((split.k_s**2).sum())
@@ -371,7 +375,14 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     """Run the full defect/bound pipeline for one operator and subspace.
 
     ``lambda_ref`` supplies the reference eigenvalues (exact values where a
-    model provides them); by default they are computed from ``h``.  ``q``
+    model provides them).  By default the ``min(n, q+m+1)`` lowest are
+    computed from ``h``, the ones the report reads: ``1/eigvalsh`` of the
+    split's inverse Gram, or dqds when they spread beyond ``defect.SPREAD``
+    or tie (``defect._lowest_eigenvalues``).  That prefix reaches index
+    ``q+m`` whenever n does, so ``lambda_(q+m)`` and ``lambda_(m+1)`` are
+    ``inf`` exactly when ``q+m-1`` or ``m`` reaches n.  ``g_q`` and
+    ``g_1`` read the ``q+1`` smallest eigenvalues of W, from the split's
+    bracket or dqds (``defect._complement_values``).  ``q``
     is the 1-based index of the target eigenvalue cluster.  Each entry's
     validity is the conjunction of its theorem's flags in ``THEOREMS``.
     ``routes_agree`` is relative (``ROUTES_RTOL``, ``ROUTES_ATOL``), and
@@ -394,7 +405,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     ds_moments = DefectSpectrum(etas=s / np.sqrt(1.0 + s * s), route="moments")
 
     if lambda_ref is None:
-        lambda_ref = singular_values(split.h_factor[1])[::-1] ** 2  # sym_eig(h)[0]
+        lambda_ref = _lowest_eigenvalues(split, q + m + 1)
     lambda_ref = np.asarray(lambda_ref, dtype=float)
     if q < 1 or q + m - 1 > len(lambda_ref):
         raise ValueError(
@@ -406,6 +417,10 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     lam_qpm = float(lambda_ref[q + m - 1]) if q + m - 1 < len(lambda_ref) else INF
     lam_mp1 = float(lambda_ref[m]) if m < len(lambda_ref) else INF
 
+    # the quotients |lambda - w|/w read only the w next to lambda_q and
+    # lambda_1, which by interlacing are among the q + 1 smallest
+    w_values = _complement_values(split, q + 1, (lam_q, float(lambda_ref[0])))
+    split = dataclasses.replace(split, w_values=w_values)
     g_q = relative_gap_gq(split.w_values, lam_q)
     g_1 = g_q if q == 1 else relative_gap_gq(split.w_values, float(lambda_ref[0]))
     gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)

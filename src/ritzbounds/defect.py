@@ -34,7 +34,9 @@ import numpy as np
 
 from .densela import (
     SymmetricMatrix,
+    _inv_upper,
     _lapack,
+    _solve_upper,
     as_symmetric,
     cholesky_lower,
     singular_values,
@@ -48,6 +50,12 @@ from .errors import NotPositiveDefiniteError, SingularOperatorError
 #: Relative invertibility floor for resolvent-type factors (smallest
 #: singular value against spectral norm).
 INVERTIBILITY_RTOL = 1e-12
+
+#: The eigenvalues read from an inverse Gram (``p_diagonal_split``) are
+#: those within this factor of the smallest: ``lambda_k <= SPREAD
+#: lambda_1``, where ``eigvalsh`` keeps about ``eps lambda_k/lambda_1``
+#: relative accuracy.  Anything beyond takes the dqds route.
+SPREAD = 64.0
 
 #: ``TestSubspace.from_columns`` warns when orthonormalization moves an
 #: entry of the spanning columns by more than this.
@@ -169,19 +177,25 @@ class SplitOperator:
 
     The block-diagonal part is diag(Xi, W) with ``Xi = diag(mu)`` from
     ``ritz``, the Ritz data the basis starts with, and W the complement
-    block ``V^T H V``, kept as its ascending spectrum ``w_values`` and as
-    the upper triangular ``w_factor`` R.  ``k_s`` is the (n-m) x m
-    coupling block of the scaled defect operator in an orthonormal basis
-    of the complement in which W is ``R R^T``; its nonzero singular values
-    are the nonzero approximation defects, ``residual`` is the block ``H U
-    - U Xi`` and ``h_factor`` H's ``sorted_cholesky``.
+    block ``V^T H V``.  ``k_s`` is the (n-m) x m coupling block of the
+    scaled defect operator in an orthonormal basis of the complement in
+    which W is ``R11 R11^T``; its nonzero singular values are the nonzero
+    approximation defects.  ``inv_gram`` is the inverse Gram ``S = X^T X``
+    of the triangular inverse ``X = R^-1`` of the split's n x n QR factor
+    R (see ``p_diagonal_split``): its eigenvalues are ``1/lambda_j``, and
+    its leading (n-m) x (n-m) block ``S11 = X11^T X11`` is ``W^-1`` in
+    the column basis of R11.  ``w_values`` is the bracket: the ascending
+    eigenvalues ``w_j = 1/eig(S11)`` of W up to ``SPREAD w_1``, the ones
+    ``eigvalsh`` gives to relative accuracy (``_complement_values``
+    completes a short bracket).  ``residual`` is the block ``H U - U Xi``
+    and ``h_factor`` H's ``sorted_cholesky``.
     """
 
     k_s: np.ndarray
     residual: np.ndarray
     ritz: RitzData
     w_values: np.ndarray = field(repr=False)
-    w_factor: np.ndarray = field(repr=False)
+    inv_gram: np.ndarray = field(repr=False)
     h_factor: tuple = field(repr=False)
 
     @property
@@ -228,36 +242,91 @@ def ritz(h, subspace: TestSubspace) -> RitzData:
     return RitzData(mu=mu, vectors=vectors)
 
 
+def _complement_factor(h_factor, u: np.ndarray) -> np.ndarray:
+    """``G = L^T P^T V`` for H's ``sorted_cholesky`` ``(perm, L)`` and the
+    orthonormal completion V of the Ritz vectors U; ``W = G^T G``."""
+    perm, ell = h_factor
+    return ell.T @ orthonormal_completion(u)[perm]
+
+
 def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     """Block splitting of H along the subspace, with the scaled coupling.
 
     In the adapted orthonormal basis (Ritz vectors U, completion V) the
     block-diagonal part is diag(Xi, W), and ``K_s = W^{-1/2} V^T (H U - U
     Xi) Xi^{-1/2}``.  With ``P^T H P = L L^T``, ``G = L^T P^T V`` and the
-    Householder QR ``G[:, cols] = Q R`` of G with its columns sorted by
-    decreasing norm, ``W = G^T G`` and ``Q^T (L^T P^T U) Xi^{-1/2}`` is
-    ``K_s`` in the orthonormal basis Q of range(G), in which W is
-    ``R R^T``.  The column order is the one column pivoting starts from
-    in Cox and Higham's row-wise error analysis of Householder QR.  W's
-    spectrum is ``sigma(G)^2`` from the values-only SVD.
+    Householder QR ``[G[:, cols], L^T P^T U] = Q R`` with G's columns
+    sorted by decreasing norm, ``W = G^T G``, the leading block R11 of R
+    is the R factor of ``G[:, cols]``, and its upper right block divided
+    by ``Xi^{1/2}`` is ``K_s`` in the orthonormal basis of range(G) in
+    which W is ``R11 R11^T``.  The column order is the one column
+    pivoting starts from in Cox and Higham's row-wise error analysis of
+    Householder QR.  Since ``R^T R = [V[:, cols], U]^T H [V[:, cols], U]``,
+    the inverse Gram ``S = X^T X`` of ``X = R^-1`` (``_inv_upper``) has
+    the eigenvalues ``1/lambda_j`` of H^-1, and its leading block
+    ``X11^T X11`` has those of ``W^-1``: ``w_values`` is the bracket of
+    ``1/eigvalsh(S11)`` within ``SPREAD`` of ``w_1``.
     """
     hm = as_symmetric(h)
     rd = ritz(hm, subspace)
     u = rd.vectors
-    v = orthonormal_completion(u)
     perm, ell = h_factor = sorted_cholesky(hm, what="operator")
-    g = ell.T @ v[perm]
+    g = _complement_factor(h_factor, u)
     cols = np.argsort(-np.einsum("ij,ij->j", g, g), kind="stable")
-    # the R factor of [G[:, cols], L^T P^T U] holds R and Q^T L^T P^T U
+    # the R factor of [G[:, cols], L^T P^T U] holds R11 and Q^T L^T P^T U
     # without forming Q
     r = np.linalg.qr(np.hstack([g[:, cols], ell.T @ u[perm]]), mode="r")
-    k = g.shape[1]
-    k_s = r[:k, k:] / np.sqrt(rd.mu)
-    w_values = singular_values(g)[::-1] ** 2
+    del g  # only the dqds fallback of the bracket reads G, and forms it again
+    k = r.shape[0] - rd.m
+    x = _inv_upper(r)
+    s = x.T @ x
+    w_inv = _lapack(np.linalg.eigvalsh, s[:k, :k])[::-1]
     return SplitOperator(
-        k_s=k_s, residual=hm.entries @ u - u * rd.mu, ritz=rd, w_values=w_values,
-        w_factor=r[:k, :k], h_factor=h_factor,
+        k_s=r[:k, k:] / np.sqrt(rd.mu), residual=hm.entries @ u - u * rd.mu, ritz=rd,
+        w_values=1.0 / w_inv[w_inv * SPREAD >= w_inv[0]], inv_gram=s, h_factor=h_factor,
     )
+
+
+def _gram_error(split: SplitOperator, values: np.ndarray) -> np.ndarray:
+    """Error bounds of ascending ``values`` read as ``1/eig`` of an inverse
+    Gram of the split: ``eigvalsh`` errs by about ``n eps`` times the
+    largest eigenvalue ``1/values[0]``, which is ``n eps values_k /
+    values[0]`` relative to ``values_k``."""
+    return len(split.inv_gram) * np.finfo(float).eps * values**2 / values[0]
+
+
+def _complement_values(split: SplitOperator, count: int, lambdas=()) -> np.ndarray:
+    """Ascending eigenvalues of W, at least the ``count`` smallest.
+
+    They are the split's bracket when it holds them (or all of W) and none
+    of its values ties with one of ``lambdas`` within ``_gram_error``;
+    else every value from LAPACK's values-only SVD of G (dqds), squared.
+    """
+    w = split.w_values
+    if len(w) >= min(count, len(split.k_s)) and all(
+        np.all(np.abs(w - lam) > _gram_error(split, w)) for lam in lambdas
+    ):
+        return w
+    return singular_values(_complement_factor(split.h_factor, split.ritz.vectors))[::-1] ** 2
+
+
+def _lowest_eigenvalues(split: SplitOperator, count: int) -> np.ndarray:
+    """The ``min(n, count)`` smallest eigenvalues of H, ascending.
+
+    They are ``1/eigvalsh(S)`` of the split's inverse Gram when they lie
+    within ``SPREAD`` of ``lambda_1`` and no two of them tie within
+    ``_gram_error``; else all n values are ``sigma(L)^2`` from LAPACK's
+    values-only SVD of H's Cholesky factor (dqds), the values
+    ``sym_eig(H)`` returns.
+    """
+    n = len(split.inv_gram)
+    inv = _lapack(np.linalg.eigvalsh, split.inv_gram)[::-1][: min(n, count)]
+    if inv[-1] * SPREAD >= inv[0]:
+        values = 1.0 / inv
+        error = _gram_error(split, values)
+        if np.all(np.diff(values) > error[1:] + error[:-1]):
+            return values
+    return singular_values(split.h_factor[1])[::-1] ** 2
 
 
 def etas_schur(split: SplitOperator) -> DefectSpectrum:
@@ -292,7 +361,8 @@ def _scaled_residual(h_factor, residual: np.ndarray, mu) -> np.ndarray:
     """``Z = L^-1 P^T R M^{-1/2}`` from H's ``sorted_cholesky`` ``(perm, L)``,
     the residual block R and the Ritz values mu."""
     perm, ell = h_factor
-    return solve_lower(ell, residual[perm] / np.sqrt(mu))
+    # L z = b is the upper triangular system of the flipped factor
+    return _solve_upper(ell[::-1, ::-1], (residual[perm] / np.sqrt(mu))[::-1])[::-1]
 
 
 def etas_moments(psi, omega) -> DefectSpectrum:
@@ -363,9 +433,13 @@ def wilkinson_schur(a, x, b) -> SymmetricMatrix:
 
 
 def _resolvent_factors(split: SplitOperator, lambda_q: float) -> np.ndarray:
-    """Eigenvalues of I - lambda W^{-1}, in the order of ``w_values``, with
-    an invertibility check against spec(W) collisions."""
-    factors = 1.0 - lambda_q / split.w_values
+    """Eigenvalues ``1 - lambda/w`` of I - lambda W^{-1} over the bracket
+    ``w_values`` (over all of W when lambda lies beyond it), with an
+    invertibility check against spec(W) collisions."""
+    w = split.w_values
+    if lambda_q >= w[-1]:  # the w nearest lambda_q may lie beyond the bracket
+        w = _complement_values(split, len(split.k_s))
+    factors = 1.0 - lambda_q / w
     smallest = np.min(np.abs(factors))
     if smallest <= INVERTIBILITY_RTOL * max(np.max(np.abs(factors)), 1e-300):
         raise SingularOperatorError(
@@ -380,16 +454,17 @@ def _resolvent_term(split: SplitOperator, lambda_q: float) -> np.ndarray:
     """``lambda_q K_s^T (W - lambda_q)^{-1} K_s``, after the collision check
     of ``_resolvent_factors``.
 
-    In the basis of ``k_s`` W is ``R R^T``; with ``B = R^-1 k_s`` and ``M =
-    I - lambda_q R^-1 R^-T``, whose eigenvalues are ``1 - lambda_q/w_j``,
-    the term is ``lambda_q B^T M^-1 B``.  Forming ``R R^T - lambda_q``
-    instead cancels on graded H.
+    In the basis of ``k_s`` W is ``R11 R11^T``; with ``X11 = R11^-1`` the
+    term is ``lambda_q K_s^T X11^T (I - lambda_q X11 X11^T)^-1 X11 K_s``,
+    and by push-through ``lambda_q K_s^T (I - lambda_q S11)^-1 S11 K_s``
+    with the leading block ``S11 = X11^T X11`` of the split's inverse
+    Gram, whose eigenvalues are ``1/w_j``.  Forming ``R11 R11^T -
+    lambda_q`` instead cancels on graded H.
     """
     _resolvent_factors(split, lambda_q)
-    eye = np.eye(len(split.w_factor))
-    r_inv = np.linalg.solve(split.w_factor, eye)  # R is triangular: no row swaps
-    b = r_inv @ split.k_s
-    return lambda_q * (b.T @ np.linalg.solve(eye - lambda_q * (r_inv @ r_inv.T), b))
+    k = len(split.k_s)
+    s11 = split.inv_gram[:k, :k]
+    return lambda_q * (split.k_s.T @ np.linalg.solve(np.eye(k) - lambda_q * s11, s11 @ split.k_s))
 
 
 def relative_residual_identity(split: SplitOperator, rd: RitzData, lambda_q: float):

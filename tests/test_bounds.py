@@ -33,15 +33,17 @@ from ritzbounds.bounds import (
     trace_sandwich,
 )
 from ritzbounds.defect import TestSubspace as Subspace
+from ritzbounds import defect
 from ritzbounds.defect import (
     DefectSpectrum,
     etas_moments,
     etas_schur,
     moment_matrices,
+    orthonormal_completion,
     p_diagonal_split,
     ritz,
 )
-from ritzbounds.densela import NormKind, sym_eig, ui_norm
+from ritzbounds.densela import NormKind, singular_values, sym_eig, sym_eigvals, ui_norm
 from ritzbounds.errors import HypothesisError, SingularOperatorError
 
 from conftest import clustered_spd, haar_orthogonal, random_spd, random_subspace, tilted_basis
@@ -408,10 +410,11 @@ class TestExactnessRatio:
         assert abs(ratio - 1.0) < 0.05
 
     def test_large_complement_limit(self, rng):
-        # scaling W far away from lambda forces the correction term to zero
+        # scaling W far away from lambda forces the correction term to zero;
+        # the inverse Gram S carries W^-1 in its leading block
         h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
         inflated = dataclasses.replace(
-            split, w_values=split.w_values * 1e6, w_factor=split.w_factor * 1e3
+            split, w_values=split.w_values * 1e6, inv_gram=split.inv_gram * 1e-6
         )
         assert exactness_ratio(inflated, lam[0]) == pytest.approx(1.0, abs=1e-5)
 
@@ -854,6 +857,107 @@ def test_report_takes_no_singular_vectors_beyond_m_and_no_gen_sym_eig(monkeypatc
         shapes.clear()
         build_report(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)))
         assert shapes and all(max(shape) <= m for shape in shapes), (n, m, shapes)
+
+
+def dqds_spectra(h, split):
+    """The values the dqds route gives: every eigenvalue of H, ``sigma(L)^2``,
+    and of W, ``sigma(G)^2`` with ``G = L^T P^T V``."""
+    perm, ell = split.h_factor
+    g = ell.T @ orthonormal_completion(split.ritz.vectors)[perm]
+    return sym_eigvals(h), singular_values(g)[::-1] ** 2
+
+
+def mp_spectrum(h, dps=40):
+    with mpmath.workdps(dps):
+        return np.array(sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)))
+
+
+def test_m_fold_lowest_eigenvalue_keeps_every_copy():
+    # the inverse Gram's eigenvalues hold every copy of an m-fold lowest
+    # eigenvalue; the copies tie within that route's error bound, so the
+    # report takes them from dqds
+    rng = np.random.default_rng(11)
+    n, m = 24, 3
+    h, _, eigenspace = clustered_spd(rng, n, m, spread=4.0)
+    exact = mp_spectrum(h)
+    report = build_report(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)))
+    split = p_diagonal_split(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)))
+    fast = 1.0 / np.linalg.eigvalsh(split.inv_gram)[::-1][: m + 2]
+    for values in (fast, np.array(report.lambda_ref)):
+        assert np.max(np.abs(values - exact[: m + 2]) / exact[: m + 2]) <= 1e-13
+    assert np.array_equal(report.lambda_ref, sym_eigvals(h)[: m + 2])
+
+
+def test_forced_fallback_is_bit_identical_to_dqds(monkeypatch):
+    # with SPREAD = 1 neither lambda_(q+m+1) nor w_2 lies in the window
+    rng = np.random.default_rng(12)
+    h = random_spd(rng, 30, log_cond=1.0)
+    s = Subspace(random_subspace(rng, 30, 2))
+    fast = build_report(h, s, q=2)
+    monkeypatch.setattr(defect, "SPREAD", 1.0)
+    report = build_report(h, s, q=2)
+    lam, w = dqds_spectra(h, p_diagonal_split(h, s))
+    assert np.array_equal(report.lambda_ref, lam[:5])
+    assert report.gaps.g_q == relative_gap_gq(w, lam[1])
+    assert report.aggregates["g_1"] == relative_gap_gq(w, lam[0])
+    # the fast path agrees to rounding, and no flag differs
+    assert_allclose(fast.lambda_ref, report.lambda_ref, rtol=1e-13)
+    assert fast.gaps.g_q == pytest.approx(report.gaps.g_q, rel=1e-13)
+    assert fast.flags == report.flags
+
+
+def test_spread_spectrum_takes_dqds():
+    # D A D with D spanning 6 decades puts lambda_(m+2)/lambda_1 far above
+    # SPREAD: the inverse Gram keeps only about eps lambda_k/lambda_1 of
+    # lambda_k, so dqds gives them all, to relative accuracy
+    rng = np.random.default_rng(13)
+    n, m = 16, 2
+    q = haar_orthogonal(rng, n)
+    d = np.logspace(0.0, -6.0, n)
+    h = d[:, None] * ((q * np.logspace(0.0, 1.0, n)) @ q.T) * d[None, :]
+    h = 0.5 * (h + h.T)
+    exact = mp_spectrum(h, dps=60)
+    report = build_report(h, Subspace(random_subspace(rng, n, m)))
+    assert report.lambda_ref[-1] > defect.SPREAD * report.lambda_ref[0]
+    assert np.array_equal(report.lambda_ref, sym_eigvals(h)[: m + 2])
+    assert np.max(np.abs(report.lambda_ref - exact[: m + 2]) / exact[: m + 2]) <= 1e-13
+
+
+def test_fast_path_report_takes_no_dqds_of_h_or_w_and_no_dense_inverse(monkeypatch):
+    # the inverse Gram of one triangular inverse serves lambda_ref and the
+    # w bracket; the only values-only SVDs are of n x m blocks, the moment
+    # route runs no row loop, and no LU solve inverts an n x n matrix
+    from ritzbounds import densela
+
+    shapes, identities = [], []
+    svd, solve = np.linalg.svd, np.linalg.solve
+
+    def recorded_svd(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def recorded_solve(a, b):
+        if np.ndim(b) == 2 and b.shape[1] > 1 and np.array_equal(b, np.eye(len(b))):
+            identities.append(b.shape[1])
+        return solve(a, b)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve_lower called")
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    for module in (densela, defect, bounds):
+        if hasattr(module, "solve_lower"):
+            monkeypatch.setattr(module, "solve_lower", refused)
+    rng = np.random.default_rng(14)
+    for n, m, q in ((100, 3, 1), (150, 1, 2)):
+        h = random_spd(rng, n, log_cond=1.0)
+        shapes.clear()
+        identities.clear()
+        build_report(h, Subspace(random_subspace(rng, n, m)), q=q)
+        assert shapes and all(max(shape) <= n and min(shape) <= m for shape in shapes), (n, shapes)
+        assert identities and max(identities) < n, (n, identities)
 
 
 def exactness_correction_mp(h, basis, lam, dps=50):

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from ritzbounds.densela import (
     NormKind,
+    _inv_upper,
+    _solve_upper,
     SymmetricMatrix,
     as_symmetric,
     cholesky_lower,
@@ -16,6 +18,7 @@ from ritzbounds.densela import (
     inv_sqrt,
     read_matrix_text,
     singular_values,
+    solve_lower_t,
     sorted_cholesky,
     sym_eig,
     sym_eigvals,
@@ -379,3 +382,69 @@ class TestMatrixText:
     def test_missing_rows(self):
         with pytest.raises(MatrixParseError):
             read_matrix_text(io.StringIO("3 2\n1.0 2.0\n"))
+
+
+def graded_upper(k):
+    """The transposed sorted Cholesky factor of ``D A D`` with D spanning 24
+    decades: upper triangular, its rows and columns graded alike."""
+    rng = np.random.default_rng(k)
+    d = grading(rng, k) if k > 1 else np.array([1e-12])
+    return sorted_cholesky(graded_spd(rng, d))[1].T.copy()
+
+
+def mp_solve_upper(r, b):
+    """Back substitution for the columns of b in 40-digit arithmetic."""
+    k = len(r)
+    with mpmath.workdps(40):
+        rm = mpmath.matrix(r.tolist())
+        out = np.empty(b.shape)
+        for j in range(b.shape[1]):
+            x = [mpmath.mpf(0)] * k
+            for i in reversed(range(k)):
+                acc = mpmath.mpf(float(b[i, j]))
+                for col in range(i + 1, k):
+                    acc -= rm[i, col] * x[col]
+                x[i] = acc / rm[i, i]
+            out[:, j] = [float(v) for v in x]
+    return out
+
+
+def assert_within(err, bound):
+    """Componentwise ``err <= bound``; where the bound is 0, err must be too."""
+    assert np.all(err <= bound), np.max(err / np.where(bound > 0, bound, 1.0))
+
+
+#: Orders around the blocked kernels' leaf size 64 and two recursion depths.
+TRIANGULAR_ORDERS = [1, 63, 64, 65, 129, 200]
+
+
+class TestTriangularKernels:
+    """The blocked triangular inverse and back substitution against the row
+    loop and an mpmath oracle, on factors graded over 24 decades."""
+
+    @pytest.mark.parametrize("k", TRIANGULAR_ORDERS)
+    def test_inv_upper(self, k):
+        eps = np.finfo(float).eps
+        r = graded_upper(k)
+        x = _inv_upper(r)
+        assert np.array_equal(np.triu(x), x)
+        # componentwise residual and forward error (Du Croz and Higham)
+        assert_within(np.abs(r @ x - np.eye(k)), k * eps * (np.abs(r) @ np.abs(x)))
+        forward = np.abs(x) @ np.abs(r) @ np.abs(x)
+        assert_within(np.abs(x - solve_lower_t(r.T, np.eye(k))), 2 * k * eps * forward)
+        cols = sorted({0, k // 2, k - 1})
+        exact = mp_solve_upper(r, np.eye(k)[:, cols])
+        assert_within(np.abs(x[:, cols] - exact), k * eps * forward[:, cols])
+
+    @pytest.mark.parametrize("k", TRIANGULAR_ORDERS)
+    def test_solve_upper(self, k):
+        eps = np.finfo(float).eps
+        r = graded_upper(k)
+        b = np.random.default_rng(k).standard_normal((k, 3))
+        z = _solve_upper(r, b)
+        assert_within(np.abs(r @ z - b), k * eps * (np.abs(r) @ np.abs(z)))
+        forward = np.abs(_inv_upper(r)) @ np.abs(r) @ np.abs(z)
+        assert_within(np.abs(z - solve_lower_t(r.T, b)), 2 * k * eps * forward)
+        assert_within(np.abs(z - mp_solve_upper(r, b)), k * eps * forward)
+        # one right-hand side as a vector
+        assert_within(np.abs(_solve_upper(r, b[:, 0]) - z[:, 0]), 2 * k * eps * forward[:, 0])
