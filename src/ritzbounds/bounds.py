@@ -27,9 +27,6 @@ hypothesis failed (the flag records it instead).
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -308,7 +305,6 @@ THEOREMS = {
     "abs_cluster": ("abs_gap",),
 }
 THEOREM_TAGS = tuple(THEOREMS)
-_PER_RITZ_VALUE = THEOREM_TAGS[:4]
 
 
 @dataclass(frozen=True)
@@ -329,11 +325,6 @@ class BoundEntry:
                 f"empty bound interval [{self.lower}, {self.upper}] for "
                 f"{self.theorem}"
             )
-
-
-def _entry_order(entry: BoundEntry):
-    block = 0 if entry.theorem in _PER_RITZ_VALUE else THEOREM_TAGS.index(entry.theorem)
-    return block, entry.index
 
 
 @dataclass(frozen=True)
@@ -381,7 +372,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     or tie (``defect._lowest_eigenvalues``).  That prefix reaches index
     ``q+m`` whenever n does, so ``lambda_(q+m)`` and ``lambda_(m+1)`` are
     ``inf`` exactly when ``q+m-1`` or ``m`` reaches n.  ``g_q`` and
-    ``g_1`` read the ``q+1`` smallest eigenvalues of W, from the split's
+    ``g_1`` read the ``q`` smallest eigenvalues of W, from the split's
     bracket or dqds (``defect._complement_values``).  ``q``
     is the 1-based index of the target eigenvalue cluster.  Each entry's
     validity is the conjunction of its theorem's flags in ``THEOREMS``.
@@ -418,11 +409,11 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     lam_mp1 = float(lambda_ref[m]) if m < len(lambda_ref) else INF
 
     # the quotients |lambda - w|/w read only the w next to lambda_q and
-    # lambda_1, which by interlacing are among the q + 1 smallest
-    w_values = _complement_values(split, q + 1, (lam_q, float(lambda_ref[0])))
-    split = dataclasses.replace(split, w_values=w_values)
-    g_q = relative_gap_gq(split.w_values, lam_q)
-    g_1 = g_q if q == 1 else relative_gap_gq(split.w_values, float(lambda_ref[0]))
+    # lambda_1, which by interlacing (w_q >= lambda_q) are among the q
+    # smallest
+    w_values = _complement_values(split, q, (lam_q, float(lambda_ref[0])))
+    g_q = relative_gap_gq(w_values, lam_q)
+    g_1 = g_q if q == 1 else relative_gap_gq(w_values, float(lambda_ref[0]))
     gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)
     gaps = GapData(
         q=q,
@@ -503,31 +494,31 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
         "exactness_ratio": exact_ratio,
     }
 
-    # (lower, upper) per index, None where a formula is not computable
+    # (lower, upper) per index, none where a formula is not computable
     intervals = {
         "first_order": [(-eta_m, eta_m)] * m,
-        "cluster_T33": None if c33 is None else [(-c33, c33)] * m,
-        "sandwich_T34": None if s_hi is None else [(-s_hi, s_hi)] * m,
-        "trace_T34": None if t_hi is None else [(0.0, t_hi)] * m,
-        "classical_TK": None if tk_rel is None else [(0.0, tk_rel)],
-        "abs_cluster": None if abs_bound is None else [
+        "cluster_T33": [] if c33 is None else [(-c33, c33)] * m,
+        "sandwich_T34": [] if s_hi is None else [(-s_hi, s_hi)] * m,
+        "trace_T34": [] if t_hi is None else [(0.0, t_hi)] * m,
+        "classical_TK": [] if tk_rel is None else [(0.0, tk_rel)],
+        "abs_cluster": [] if abs_bound is None else [
             (-abs_bound / float(x), abs_bound / float(x)) for x in mu
         ],
     }
-    entries = sorted(
-        (
-            BoundEntry(
-                index=i,
-                theorem=tag,
-                lower=lower,
-                upper=upper,
-                valid=all(flags[name] for name in hypotheses),
-            )
-            for tag, hypotheses in THEOREMS.items()
-            for i, (lower, upper) in enumerate(intervals[tag] or (), start=1)
-        ),
-        key=_entry_order,
-    )
+    # the print order of ``THEOREMS``
+    order = [(tag, i) for i in range(m) for tag in THEOREM_TAGS[:4]]
+    order += [(tag, i) for tag in THEOREM_TAGS[4:] for i in range(m)]
+    entries = [
+        BoundEntry(
+            index=i + 1,
+            theorem=tag,
+            lower=intervals[tag][i][0],
+            upper=intervals[tag][i][1],
+            valid=all(flags[name] for name in THEOREMS[tag]),
+        )
+        for tag, i in order
+        if i < len(intervals[tag])
+    ]
 
     return BoundReport(
         n=hm.n,
@@ -602,26 +593,23 @@ def report_to_csv(report_or_rows) -> str:
         ]
     else:
         rows = report_or_rows
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for index, theorem, lower, upper, valid in rows:
-        writer.writerow(
-            [index, theorem, f"{float(lower):.17g}", f"{float(upper):.17g}",
-             "true" if valid in (True, "true") else "false"]
-        )
-    return buf.getvalue()
+    # ints, the THEOREMS tags, .17g floats and true/false need no quoting
+    lines = [",".join(CSV_COLUMNS)] + [
+        f"{index},{theorem},{float(lower):.17g},{float(upper):.17g},"
+        f"{'true' if valid in (True, 'true') else 'false'}"
+        for index, theorem, lower, upper, valid in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def csv_to_rows(text: str):
     """Parse an entries CSV back into typed rows."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
+    header, *lines = text.splitlines()
+    if tuple(header.split(",")) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header!r}")
     return [
         (int(index), theorem, float(lower), float(upper), valid == "true")
-        for index, theorem, lower, upper, valid in reader
+        for index, theorem, lower, upper, valid in (line.split(",") for line in lines)
     ]
 
 

@@ -184,19 +184,24 @@ class SplitOperator:
     of the triangular inverse ``X = R^-1`` of the split's n x n QR factor
     R (see ``p_diagonal_split``): its eigenvalues are ``1/lambda_j``, and
     its leading (n-m) x (n-m) block ``S11 = X11^T X11`` is ``W^-1`` in
-    the column basis of R11.  ``w_values`` is the bracket: the ascending
-    eigenvalues ``w_j = 1/eig(S11)`` of W up to ``SPREAD w_1``, the ones
-    ``eigvalsh`` gives to relative accuracy (``_complement_values``
-    completes a short bracket).  ``residual`` is the block ``H U - U Xi``
-    and ``h_factor`` H's ``sorted_cholesky``.
+    the column basis of R11.  ``s11_values`` holds every eigenvalue
+    ``theta_j = 1/w_j`` of S11, descending, and the ``w_values`` property
+    the bracket: the ascending ``w_j = 1/theta_j`` of W up to ``SPREAD
+    w_1``, the ones ``eigvalsh`` gives to relative accuracy.  ``residual``
+    is the block ``H U - U Xi`` and ``h_factor`` H's ``sorted_cholesky``.
     """
 
     k_s: np.ndarray
     residual: np.ndarray
     ritz: RitzData
-    w_values: np.ndarray = field(repr=False)
+    s11_values: np.ndarray = field(repr=False)
     inv_gram: np.ndarray = field(repr=False)
     h_factor: tuple = field(repr=False)
+
+    @property
+    def w_values(self) -> np.ndarray:
+        theta = self.s11_values
+        return 1.0 / theta[theta * SPREAD >= theta[0]]
 
     @property
     def mu(self) -> np.ndarray:
@@ -264,8 +269,7 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     Householder QR.  Since ``R^T R = [V[:, cols], U]^T H [V[:, cols], U]``,
     the inverse Gram ``S = X^T X`` of ``X = R^-1`` (``_inv_upper``) has
     the eigenvalues ``1/lambda_j`` of H^-1, and its leading block
-    ``X11^T X11`` has those of ``W^-1``: ``w_values`` is the bracket of
-    ``1/eigvalsh(S11)`` within ``SPREAD`` of ``w_1``.
+    ``X11^T X11`` has those of ``W^-1``, kept as ``s11_values``.
     """
     hm = as_symmetric(h)
     rd = ritz(hm, subspace)
@@ -280,10 +284,9 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     k = r.shape[0] - rd.m
     x = _inv_upper(r)
     s = x.T @ x
-    w_inv = _lapack(np.linalg.eigvalsh, s[:k, :k])[::-1]
     return SplitOperator(
         k_s=r[:k, k:] / np.sqrt(rd.mu), residual=hm.entries @ u - u * rd.mu, ritz=rd,
-        w_values=1.0 / w_inv[w_inv * SPREAD >= w_inv[0]], inv_gram=s, h_factor=h_factor,
+        s11_values=_lapack(np.linalg.eigvalsh, s[:k, :k])[::-1], inv_gram=s, h_factor=h_factor,
     )
 
 
@@ -295,12 +298,12 @@ def _gram_error(split: SplitOperator, values: np.ndarray) -> np.ndarray:
     return len(split.inv_gram) * np.finfo(float).eps * values**2 / values[0]
 
 
-def _complement_values(split: SplitOperator, count: int, lambdas=()) -> np.ndarray:
-    """Ascending eigenvalues of W, at least the ``count`` smallest.
+def _complement_values(split: SplitOperator, count: int, lambdas) -> np.ndarray:
+    """Ascending eigenvalues of W, at least the ``min(count, n-m)`` smallest.
 
-    They are the split's bracket when it holds them (or all of W) and none
-    of its values ties with one of ``lambdas`` within ``_gram_error``;
-    else every value from LAPACK's values-only SVD of G (dqds), squared.
+    They are the split's bracket when it holds them and none of its values
+    ties with one of ``lambdas`` within ``_gram_error``; else every value
+    from LAPACK's values-only SVD of G (dqds), squared.
     """
     w = split.w_values
     if len(w) >= min(count, len(split.k_s)) and all(
@@ -432,36 +435,27 @@ def wilkinson_schur(a, x, b) -> SymmetricMatrix:
     return SymmetricMatrix(0.5 * (s + s.T))
 
 
-def _resolvent_factors(split: SplitOperator, lambda_q: float) -> np.ndarray:
-    """Eigenvalues ``1 - lambda/w`` of I - lambda W^{-1} over the bracket
-    ``w_values`` (over all of W when lambda lies beyond it), with an
-    invertibility check against spec(W) collisions."""
-    w = split.w_values
-    if lambda_q >= w[-1]:  # the w nearest lambda_q may lie beyond the bracket
-        w = _complement_values(split, len(split.k_s))
-    factors = 1.0 - lambda_q / w
-    smallest = np.min(np.abs(factors))
-    if smallest <= INVERTIBILITY_RTOL * max(np.max(np.abs(factors)), 1e-300):
-        raise SingularOperatorError(
-            f"reference value {lambda_q!r} collides with the complement "
-            f"spectrum: smallest |1 - lambda/w| = {smallest:.6e}",
-            smallest_magnitude=smallest,
-        )
-    return factors
-
-
 def _resolvent_term(split: SplitOperator, lambda_q: float) -> np.ndarray:
-    """``lambda_q K_s^T (W - lambda_q)^{-1} K_s``, after the collision check
-    of ``_resolvent_factors``.
+    """``lambda_q K_s^T (W - lambda_q)^{-1} K_s``.
 
     In the basis of ``k_s`` W is ``R11 R11^T``; with ``X11 = R11^-1`` the
     term is ``lambda_q K_s^T X11^T (I - lambda_q X11 X11^T)^-1 X11 K_s``,
     and by push-through ``lambda_q K_s^T (I - lambda_q S11)^-1 S11 K_s``
     with the leading block ``S11 = X11^T X11`` of the split's inverse
-    Gram, whose eigenvalues are ``1/w_j``.  Forming ``R11 R11^T -
-    lambda_q`` instead cancels on graded H.
+    Gram, whose eigenvalues are the ``s11_values`` ``theta_j = 1/w_j``.
+    Forming ``R11 R11^T - lambda_q`` instead cancels on graded H.  A
+    lambda_q that collides with spec(W), where the smallest ``|1 -
+    lambda_q theta|`` over every theta falls to ``INVERTIBILITY_RTOL``
+    times the largest, raises ``SingularOperatorError``.
     """
-    _resolvent_factors(split, lambda_q)
+    factors = np.abs(1.0 - lambda_q * split.s11_values)
+    smallest = factors.min()
+    if smallest <= INVERTIBILITY_RTOL * max(factors.max(), 1e-300):
+        raise SingularOperatorError(
+            f"reference value {lambda_q!r} collides with the complement "
+            f"spectrum: smallest |1 - lambda/w| = {smallest:.6e}",
+            smallest_magnitude=smallest,
+        )
     k = len(split.k_s)
     s11 = split.inv_gram[:k, :k]
     return lambda_q * (split.k_s.T @ np.linalg.solve(np.eye(k) - lambda_q * s11, s11 @ split.k_s))

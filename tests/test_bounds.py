@@ -41,6 +41,7 @@ from ritzbounds.defect import (
     moment_matrices,
     orthonormal_completion,
     p_diagonal_split,
+    relative_residual_identity,
     ritz,
 )
 from ritzbounds.densela import NormKind, singular_values, sym_eig, sym_eigvals, ui_norm
@@ -414,7 +415,7 @@ class TestExactnessRatio:
         # the inverse Gram S carries W^-1 in its leading block
         h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
         inflated = dataclasses.replace(
-            split, w_values=split.w_values * 1e6, inv_gram=split.inv_gram * 1e-6
+            split, s11_values=split.s11_values * 1e-6, inv_gram=split.inv_gram * 1e-6
         )
         assert exactness_ratio(inflated, lam[0]) == pytest.approx(1.0, abs=1e-5)
 
@@ -958,6 +959,61 @@ def test_fast_path_report_takes_no_dqds_of_h_or_w_and_no_dense_inverse(monkeypat
         build_report(h, Subspace(random_subspace(rng, n, m)), q=q)
         assert shapes and all(max(shape) <= n and min(shape) <= m for shape in shapes), (n, shapes)
         assert identities and max(identities) < n, (n, identities)
+
+
+def test_q1_report_reads_w_1_from_a_one_value_bracket(monkeypatch):
+    # by interlacing (w_q >= lambda_q) a q = 1 report reads only w_1, so the
+    # kappa family's one-value bracket [1/100] serves it: no SVD of the
+    # n x (n-m) G runs, and g_1 keeps the bracket's exact w_1
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    h = kappa_matrix(10.0)
+    assert len(p_diagonal_split(h, span_e1()).w_values) == 1
+    report = build_report(h, span_e1())
+    assert shapes and (3, 2) not in shapes, shapes
+    with mpmath.workdps(50):
+        hm = mpmath.matrix(h.tolist())
+        lam_1 = min(mpmath.eigsy(hm, eigvals_only=True))
+        w_1 = min(mpmath.eigsy(hm[1:, 1:], eigvals_only=True))
+        exact = float((w_1 - lam_1) / w_1)
+    assert report.aggregates["g_1"] == pytest.approx(exact, rel=2e-14)
+
+
+def test_resolvent_past_the_bracket_forms_no_g(monkeypatch):
+    # the collision check runs over every eigenvalue theta of the S11 the
+    # resolvent solves with, so a lambda beyond the w bracket needs neither
+    # G nor dqds, and lambda = 1/theta_j outside the bracket still collides
+    rng = np.random.default_rng(15)
+    h = random_spd(rng, 10)
+    split = p_diagonal_split(h, Subspace(random_subspace(rng, 10, 2)))
+    theta, bracket = split.s11_values, len(split.w_values)
+    assert bracket < len(theta)
+    calls = []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_complement_factor", "singular_values"):
+        monkeypatch.setattr(defect, name, counted(getattr(defect, name)))
+    lam = 0.5 * (1.0 / theta[bracket - 1] + 1.0 / theta[bracket])
+    exactness_ratio(split, lam)
+    relative_residual_identity(split, split.ritz, lam)
+    assert not calls
+    for lam in 1.0 / theta[bracket:]:
+        with pytest.raises(SingularOperatorError):
+            exactness_ratio(split, lam)
+        with pytest.raises(SingularOperatorError):
+            relative_residual_identity(split, split.ritz, lam)
 
 
 def exactness_correction_mp(h, basis, lam, dps=50):
