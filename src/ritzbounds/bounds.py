@@ -37,7 +37,6 @@ from .defect import (
     DefectSpectrum,
     SplitOperator,
     TestSubspace,
-    _complement_values,
     _lowest_eigenvalues,
     _resolvent_term,
     _scaled_residual,
@@ -199,15 +198,9 @@ def sandwich_bounds(etas: DefectSpectrum, g1: float, kind):
 
 
 def trace_sandwich(etas: DefectSpectrum, g1: float):
-    """Two-sided bound for sum_i (mu_i - lambda_i) / mu_i.
-
-    Returns (sum eta_i^2, (1/g_1) sum eta_i^2).
-    """
-    if g1 <= 0:
-        raise HypothesisError(f"relative gap must be positive, got {g1!r}")
-    total = etas.sum_squares()
-    upper = 0.0 if math.isinf(g1) and total == 0.0 else total / g1
-    return total, upper
+    """Two-sided bound for sum_i (mu_i - lambda_i) / mu_i: the trace-norm
+    ``sandwich_bounds``, (sum eta_i^2, (1/g_1) sum eta_i^2)."""
+    return sandwich_bounds(etas, g1, NormKind.TRACE)
 
 
 def prop_lower_bound(mu, residual_ratios) -> float:
@@ -372,10 +365,11 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     or tie (``defect._lowest_eigenvalues``).  That prefix reaches index
     ``q+m`` whenever n does, so ``lambda_(q+m)`` and ``lambda_(m+1)`` are
     ``inf`` exactly when ``q+m-1`` or ``m`` reaches n.  ``g_q`` and
-    ``g_1`` read the ``q`` smallest eigenvalues of W, from the split's
-    bracket or dqds (``defect._complement_values``).  ``q``
-    is the 1-based index of the target eigenvalue cluster.  Each entry's
-    validity is the conjunction of its theorem's flags in ``THEOREMS``.
+    ``g_1`` read the ``q`` smallest eigenvalues of W, ``1/s11_values`` of
+    the split.  ``q`` is the 1-based index of the target eigenvalue
+    cluster; ``q < 1`` raises ``ValueError`` before H is factored.  Each
+    entry's validity is the conjunction of its theorem's flags in
+    ``THEOREMS``.
     ``routes_agree`` is relative (``ROUTES_RTOL``, ``ROUTES_ATOL``), and
     ``tk_gap`` needs ``lambda_2 - mu_1`` above ``n eps |u_1|^T |H| |u_1|``,
     the a-priori rounding bound of the quadratic form ``mu_1 = u_1^T H u_1``,
@@ -383,6 +377,8 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     ``tk_gap`` and ``abs_gap`` also need q = 1: Temple-Kato bounds ``mu_1 -
     lambda_1`` and the absolute cluster bound covers ``lambda_1..lambda_m``.
     """
+    if q < 1:
+        raise ValueError(f"target index q must be at least 1, got {q}")
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
     split = p_diagonal_split(hm, subspace)
@@ -398,7 +394,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     if lambda_ref is None:
         lambda_ref = _lowest_eigenvalues(split, q + m + 1)
     lambda_ref = np.asarray(lambda_ref, dtype=float)
-    if q < 1 or q + m - 1 > len(lambda_ref):
+    if q + m - 1 > len(lambda_ref):
         raise ValueError(
             f"target index q={q} with cluster size m={m} needs at least "
             f"{q + m - 1} reference eigenvalues"
@@ -411,7 +407,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     # the quotients |lambda - w|/w read only the w next to lambda_q and
     # lambda_1, which by interlacing (w_q >= lambda_q) are among the q
     # smallest
-    w_values = _complement_values(split, q, (lam_q, float(lambda_ref[0])))
+    w_values = 1.0 / split.s11_values[:q]
     g_q = relative_gap_gq(w_values, lam_q)
     g_1 = g_q if q == 1 else relative_gap_gq(w_values, float(lambda_ref[0]))
     gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)
@@ -453,7 +449,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     c33 = cluster_upper_bound(ds, g_q, kind) if g_q > 0 else None
     # without a gap (g_1 = 0) the sandwiches keep only their lower ends
     s_lo, s_hi = sandwich_bounds(ds, g_1 or INF, kind)
-    t_lo, t_hi = trace_sandwich(ds, g_1 or INF)
+    t_lo, t_hi = sandwich_bounds(ds, g_1 or INF, NormKind.TRACE)
     s_hi, t_hi = (_finite_or_none(s_hi), _finite_or_none(t_hi)) if g_1 > 0 else (None, None)
     ratios = np.einsum("ij,ij->j", z, z)
     dl = float(s[-1] ** 2)

@@ -293,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--norm", choices=("spectral", "frobenius", "trace"), default="frobenius"
     )
-    p_bounds.add_argument("--q", type=int, default=1, help="1-based target eigenvalue index")
+    p_bounds.add_argument(
+        "--q",
+        type=lambda s: _bounded_int(s, "q", 1),
+        default=1,
+        help="1-based target eigenvalue index, an integer >= 1",
+    )
     p_bounds.add_argument("--out", help="output path (default stdout)")
     p_bounds.add_argument("--format", choices=("csv", "json", "table"), default="table")
     p_bounds.add_argument(

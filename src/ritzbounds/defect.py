@@ -51,10 +51,11 @@ from .errors import NotPositiveDefiniteError, SingularOperatorError
 #: singular value against spectral norm).
 INVERTIBILITY_RTOL = 1e-12
 
-#: The eigenvalues read from an inverse Gram (``p_diagonal_split``) are
-#: those within this factor of the smallest: ``lambda_k <= SPREAD
+#: The eigenvalues of H read from its inverse Gram (``p_diagonal_split``)
+#: are those within this factor of the smallest: ``lambda_k <= SPREAD
 #: lambda_1``, where ``eigvalsh`` keeps about ``eps lambda_k/lambda_1``
-#: relative accuracy.  Anything beyond takes the dqds route.
+#: relative accuracy.  Anything beyond takes the dqds route.  The same
+#: factor bounds ``SplitOperator.w_values``.
 SPREAD = 64.0
 
 #: ``TestSubspace.from_columns`` warns when orthonormalization moves an
@@ -185,10 +186,11 @@ class SplitOperator:
     R (see ``p_diagonal_split``): its eigenvalues are ``1/lambda_j``, and
     its leading (n-m) x (n-m) block ``S11 = X11^T X11`` is ``W^-1`` in
     the column basis of R11.  ``s11_values`` holds every eigenvalue
-    ``theta_j = 1/w_j`` of S11, descending, and the ``w_values`` property
-    the bracket: the ascending ``w_j = 1/theta_j`` of W up to ``SPREAD
-    w_1``, the ones ``eigvalsh`` gives to relative accuracy.  ``residual``
-    is the block ``H U - U Xi`` and ``h_factor`` H's ``sorted_cholesky``.
+    ``theta_j = 1/w_j`` of S11, descending; ``eigvalsh`` gives ``w_j`` to
+    about ``n eps w_j/w_1`` relative, and the ``w_values`` property is the
+    bracket where that is rounding: the ascending ``w_j`` up to ``SPREAD
+    w_1``.  ``residual`` is the block ``H U - U Xi`` and ``h_factor`` H's
+    ``sorted_cholesky``.
     """
 
     k_s: np.ndarray
@@ -247,13 +249,6 @@ def ritz(h, subspace: TestSubspace) -> RitzData:
     return RitzData(mu=mu, vectors=vectors)
 
 
-def _complement_factor(h_factor, u: np.ndarray) -> np.ndarray:
-    """``G = L^T P^T V`` for H's ``sorted_cholesky`` ``(perm, L)`` and the
-    orthonormal completion V of the Ritz vectors U; ``W = G^T G``."""
-    perm, ell = h_factor
-    return ell.T @ orthonormal_completion(u)[perm]
-
-
 def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     """Block splitting of H along the subspace, with the scaled coupling.
 
@@ -275,12 +270,12 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     rd = ritz(hm, subspace)
     u = rd.vectors
     perm, ell = h_factor = sorted_cholesky(hm, what="operator")
-    g = _complement_factor(h_factor, u)
+    g = ell.T @ orthonormal_completion(u)[perm]
     cols = np.argsort(-np.einsum("ij,ij->j", g, g), kind="stable")
     # the R factor of [G[:, cols], L^T P^T U] holds R11 and Q^T L^T P^T U
     # without forming Q
     r = np.linalg.qr(np.hstack([g[:, cols], ell.T @ u[perm]]), mode="r")
-    del g  # only the dqds fallback of the bracket reads G, and forms it again
+    del g  # n (n-m) floats fewer held through the triangular inverse
     k = r.shape[0] - rd.m
     x = _inv_upper(r)
     s = x.T @ x
@@ -290,35 +285,12 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     )
 
 
-def _gram_error(split: SplitOperator, values: np.ndarray) -> np.ndarray:
-    """Error bounds of ascending ``values`` read as ``1/eig`` of an inverse
-    Gram of the split: ``eigvalsh`` errs by about ``n eps`` times the
-    largest eigenvalue ``1/values[0]``, which is ``n eps values_k /
-    values[0]`` relative to ``values_k``."""
-    return len(split.inv_gram) * np.finfo(float).eps * values**2 / values[0]
-
-
-def _complement_values(split: SplitOperator, count: int, lambdas) -> np.ndarray:
-    """Ascending eigenvalues of W, at least the ``min(count, n-m)`` smallest.
-
-    They are the split's bracket when it holds them and none of its values
-    ties with one of ``lambdas`` within ``_gram_error``; else every value
-    from LAPACK's values-only SVD of G (dqds), squared.
-    """
-    w = split.w_values
-    if len(w) >= min(count, len(split.k_s)) and all(
-        np.all(np.abs(w - lam) > _gram_error(split, w)) for lam in lambdas
-    ):
-        return w
-    return singular_values(_complement_factor(split.h_factor, split.ritz.vectors))[::-1] ** 2
-
-
 def _lowest_eigenvalues(split: SplitOperator, count: int) -> np.ndarray:
     """The ``min(n, count)`` smallest eigenvalues of H, ascending.
 
     They are ``1/eigvalsh(S)`` of the split's inverse Gram when they lie
-    within ``SPREAD`` of ``lambda_1`` and no two of them tie within
-    ``_gram_error``; else all n values are ``sigma(L)^2`` from LAPACK's
+    within ``SPREAD`` of ``lambda_1`` and no two of them tie within their
+    error bounds; else all n values are ``sigma(L)^2`` from LAPACK's
     values-only SVD of H's Cholesky factor (dqds), the values
     ``sym_eig(H)`` returns.
     """
@@ -326,7 +298,9 @@ def _lowest_eigenvalues(split: SplitOperator, count: int) -> np.ndarray:
     inv = _lapack(np.linalg.eigvalsh, split.inv_gram)[::-1][: min(n, count)]
     if inv[-1] * SPREAD >= inv[0]:
         values = 1.0 / inv
-        error = _gram_error(split, values)
+        # eigvalsh errs by about n eps times the largest eigenvalue
+        # 1/lambda_1 of S, which is n eps lambda_k/lambda_1 relative
+        error = n * np.finfo(float).eps * values**2 / values[0]
         if np.all(np.diff(values) > error[1:] + error[:-1]):
             return values
     return singular_values(split.h_factor[1])[::-1] ** 2

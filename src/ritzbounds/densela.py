@@ -24,10 +24,7 @@ raises a process's peak memory by 1.3-1.6 MB, three to four times what
 numpy's values-only SVD costs (see the README's numerical notes).
 
 Storage is dense float64 throughout; the intended problem sizes are desk
-scale: a ``build_report`` at n=2000, m=4 takes 3.3-3.6 s with one BLAS
-thread on a 2-core machine, 1.7 s of it in the two ``eigvalsh`` of
-inverse Grams that give its eigenvalues (7.9-8.2 s with the two
-values-only SVDs they replace).
+scale.
 """
 
 from __future__ import annotations
@@ -375,16 +372,12 @@ def _format_value(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_matrix_text(path, a, header_comment: str | None = None) -> None:
+def write_matrix_text(path, a) -> None:
     """Write a dense matrix in the plain text format."""
     a = _as_array(a)
     if a.ndim == 1:
         a = a[:, None]
-    lines = []
-    if header_comment:
-        for chunk in header_comment.splitlines():
-            lines.append(f"# {chunk}")
-    lines.append(f"{a.shape[0]} {a.shape[1]}")
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
     for row in a:
         lines.append(" ".join(_format_value(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

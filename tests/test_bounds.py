@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -39,12 +40,11 @@ from ritzbounds.defect import (
     etas_moments,
     etas_schur,
     moment_matrices,
-    orthonormal_completion,
     p_diagonal_split,
     relative_residual_identity,
     ritz,
 )
-from ritzbounds.densela import NormKind, singular_values, sym_eig, sym_eigvals, ui_norm
+from ritzbounds.densela import NormKind, sym_eig, sym_eigvals, ui_norm
 from ritzbounds.errors import HypothesisError, SingularOperatorError
 
 from conftest import clustered_spd, haar_orthogonal, random_spd, random_subspace, tilted_basis
@@ -475,6 +475,15 @@ class TestReport:
             if entry.theorem == "first_order":
                 assert entry.upper - entry.lower <= 1e-13
 
+    @pytest.mark.parametrize("q", [0, -9])
+    def test_target_index_below_one_is_refused_before_factoring(self, q, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sorted_cholesky called")
+
+        monkeypatch.setattr(defect, "sorted_cholesky", refused)
+        with pytest.raises(ValueError, match="q must be at least 1"):
+            build_report(np.diag(np.arange(1.0, 7.0)), span_e1(6), q=q)
+
     def test_rotated_cluster_report_brackets(self, rng):
         h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
         report = build_report(h, s, "frobenius", lambda_ref=lam)
@@ -744,15 +753,22 @@ def test_report_moment_side_matches_the_pencil_form(monkeypatch):
         assert report.aggregates["residual_eta_upper"] == pytest.approx(ratios.sum(), rel=1e-12, abs=0)
 
 
-def test_classical_bounds_are_valid_only_for_the_lowest_target():
-    # Temple-Kato bounds mu_1 - lambda_1 and the absolute cluster bound
-    # covers lambda_1..lambda_m; a subspace near the lowest eigenvector,
-    # reported against q = 2, is no estimate of lambda_2 = 2
+def near_lowest_eigenvector():
+    """H with spectrum 1, 2, 5..10 and a subspace near its lowest
+    eigenvector, tilted toward the third; the complement keeps lambda_2,
+    so ``w_1 = lambda_2 = 2``."""
     rng = np.random.default_rng(3)
     lam = np.array([1.0, 2.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
     q = haar_orthogonal(rng, 8)
     h = 0.5 * ((q * lam) @ q.T + ((q * lam) @ q.T).T)
-    s = Subspace(np.linalg.qr(q[:, :1] + 1e-3 * q[:, 2:3])[0])
+    return h, Subspace(np.linalg.qr(q[:, :1] + 1e-3 * q[:, 2:3])[0]), lam
+
+
+def test_classical_bounds_are_valid_only_for_the_lowest_target():
+    # Temple-Kato bounds mu_1 - lambda_1 and the absolute cluster bound
+    # covers lambda_1..lambda_m; a subspace near the lowest eigenvector,
+    # reported against q = 2, is no estimate of lambda_2 = 2
+    h, s, lam = near_lowest_eigenvector()
     for target in (1, 2):
         report = build_report(h, s, lambda_ref=lam, q=target)
         assert report.flags["tk_gap"] == report.flags["abs_gap"] == (target == 1), target
@@ -764,12 +780,14 @@ def test_classical_bounds_are_valid_only_for_the_lowest_target():
                 assert e.lower <= truth <= e.upper, (target, e)
 
 
+@functools.lru_cache(maxsize=None)
 def graded_24_decades(seed, n, m, tilt):
     """``D A D`` with cond(A) <= 10, unit diag(A) and D = 2^-k for k in
     [0, 40], so H is formed exactly and spans 24 decades; the basis tilts
     the m lowest eigenvectors by an energy-scaled perturbation of size
     ``tilt``.  Returns H, the basis and, from mpmath, the relative errors
-    ``(mu_i - lambda_i)/mu_i`` of the exact Ritz values of the basis."""
+    ``(mu_i - lambda_i)/mu_i`` of the exact Ritz values of the basis.
+    Cached: several tests read the same cases, and none writes to them."""
     rng = np.random.default_rng(seed)
     q = haar_orthogonal(rng, n)
     a = (q * 10.0 ** rng.uniform(0.0, 1.0, n)) @ q.T
@@ -860,14 +878,6 @@ def test_report_takes_no_singular_vectors_beyond_m_and_no_gen_sym_eig(monkeypatc
         assert shapes and all(max(shape) <= m for shape in shapes), (n, m, shapes)
 
 
-def dqds_spectra(h, split):
-    """The values the dqds route gives: every eigenvalue of H, ``sigma(L)^2``,
-    and of W, ``sigma(G)^2`` with ``G = L^T P^T V``."""
-    perm, ell = split.h_factor
-    g = ell.T @ orthonormal_completion(split.ritz.vectors)[perm]
-    return sym_eigvals(h), singular_values(g)[::-1] ** 2
-
-
 def mp_spectrum(h, dps=40):
     with mpmath.workdps(dps):
         return np.array(sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)))
@@ -890,17 +900,14 @@ def test_m_fold_lowest_eigenvalue_keeps_every_copy():
 
 
 def test_forced_fallback_is_bit_identical_to_dqds(monkeypatch):
-    # with SPREAD = 1 neither lambda_(q+m+1) nor w_2 lies in the window
+    # with SPREAD = 1 lambda_(q+m+1) lies outside the window
     rng = np.random.default_rng(12)
     h = random_spd(rng, 30, log_cond=1.0)
     s = Subspace(random_subspace(rng, 30, 2))
     fast = build_report(h, s, q=2)
     monkeypatch.setattr(defect, "SPREAD", 1.0)
     report = build_report(h, s, q=2)
-    lam, w = dqds_spectra(h, p_diagonal_split(h, s))
-    assert np.array_equal(report.lambda_ref, lam[:5])
-    assert report.gaps.g_q == relative_gap_gq(w, lam[1])
-    assert report.aggregates["g_1"] == relative_gap_gq(w, lam[0])
+    assert np.array_equal(report.lambda_ref, sym_eigvals(h)[:5])
     # the fast path agrees to rounding, and no flag differs
     assert_allclose(fast.lambda_ref, report.lambda_ref, rtol=1e-13)
     assert fast.gaps.g_q == pytest.approx(report.gaps.g_q, rel=1e-13)
@@ -1003,7 +1010,7 @@ def test_resolvent_past_the_bracket_forms_no_g(monkeypatch):
 
         return wrapper
 
-    for name in ("_complement_factor", "singular_values"):
+    for name in ("orthonormal_completion", "singular_values"):
         monkeypatch.setattr(defect, name, counted(getattr(defect, name)))
     lam = 0.5 * (1.0 / theta[bracket - 1] + 1.0 / theta[bracket])
     exactness_ratio(split, lam)
@@ -1016,6 +1023,37 @@ def test_resolvent_past_the_bracket_forms_no_g(monkeypatch):
             relative_residual_identity(split, split.ritz, lam)
 
 
+def test_tie_reports_complete_the_subspace_once(monkeypatch, rng):
+    # w_1 ties with lambda_q on the identity, and at q = 2 with the
+    # complement keeping lambda_2 = w_1 = 2; W's values still come from the
+    # split's S11, so neither report completes the Ritz vectors twice
+    calls = []
+    completion = defect.orthonormal_completion
+
+    def counted(basis):
+        calls.append(basis.shape)
+        return completion(basis)
+
+    monkeypatch.setattr(defect, "orthonormal_completion", counted)
+    build_report(np.eye(4), Subspace(random_subspace(rng, 4, 2)))
+    assert len(calls) == 1, calls
+    h, s, lam = near_lowest_eigenvector()
+    calls.clear()
+    build_report(h, s, lambda_ref=lam, q=2)
+    assert len(calls) == 1, calls
+
+
+def mp_bases(h, basis):
+    """H in mpmath, at the caller's precision, with orthonormal bases B and
+    V of the span of ``basis`` and of its orthogonal complement."""
+    hm = mpmath.matrix(h.tolist())
+    b = mpmath.matrix(basis.tolist())
+    b = b * (mpmath.cholesky(b.T * b) ** -1).T
+    v = mpmath.matrix(scipy.linalg.null_space(basis.T).tolist())
+    v = v - b * (b.T * v)
+    return hm, b, v * (mpmath.cholesky(v.T * v) ** -1).T
+
+
 def exactness_correction_mp(h, basis, lam, dps=50):
     """``exactness_ratio - 1`` in mpmath for the exact H, subspace and
     ``lam``: ``lam tr(A^-1 C^T W^-1 (W - lam)^-1 C) / tr(A^-1 C^T W^-1 C)``
@@ -1024,12 +1062,7 @@ def exactness_correction_mp(h, basis, lam, dps=50):
     quotient of traces over ``K_s`` in any bases."""
     m = basis.shape[1]
     with mpmath.workdps(dps):
-        hm = mpmath.matrix(h.tolist())
-        b = mpmath.matrix(basis.tolist())
-        b = b * (mpmath.cholesky(b.T * b) ** -1).T
-        v = mpmath.matrix(scipy.linalg.null_space(basis.T).tolist())
-        v = v - b * (b.T * v)
-        v = v * (mpmath.cholesky(v.T * v) ** -1).T
+        hm, b, v = mp_bases(h, basis)
         w, c = v.T * hm * v, v.T * hm * b
         a_inv = (b.T * hm * b) ** -1
         w_inv_c = w**-1 * c
@@ -1052,3 +1085,18 @@ def test_exactness_correction_on_24_decade_grading_matches_mpmath(k):
     lam = float(sym_eig(h)[0][0])
     exact = exactness_correction_mp(h, basis, lam)
     assert exactness_ratio(split, lam) - 1.0 == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", range(len(GRADED_24)))
+def test_complement_values_on_24_decade_grading_match_mpmath(k):
+    # a report reads w_1..w_q as 1/s11_values, inside the SPREAD bracket
+    # and beyond it, where eigvalsh's a-priori error n eps w_k/w_1 is far
+    # above the error it attains on these cases
+    n, m = GRADED_24[k]
+    tilt = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5]
+    h, basis, _ = graded_24_decades(k, n, m, tilt)
+    w = 1.0 / p_diagonal_split(h, Subspace(basis)).s11_values[:4]
+    with mpmath.workdps(60):
+        hm, _, v = mp_bases(h, basis)
+        exact = np.array(sorted(mpmath.eigsy(v.T * hm * v, eigvals_only=True))[:4], dtype=float)
+    assert np.max(np.abs(w - exact) / exact) <= 1e-11

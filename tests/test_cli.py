@@ -81,6 +81,19 @@ class TestBoundsCommand:
         assert report["aggregates"]["trace_lower"] <= true_sum * (1 + 1e-9)
         assert true_sum <= report["aggregates"]["trace_upper"] * (1 + 1e-9)
 
+    @pytest.mark.parametrize("q", ["0", "-10"])
+    def test_q_below_one_is_usage_error(self, q, tmp_path, capsys):
+        # rejected while parsing, like --k-trunc, with no report attempted
+        matrix = tmp_path / "h.txt"
+        write_matrix_text(matrix, np.diag(np.arange(1.0, 7.0)))
+        subspace = tmp_path / "s.txt"
+        write_matrix_text(subspace, np.eye(6)[:, :1])
+        with pytest.raises(SystemExit) as err:
+            run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace), "--q", q)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "--q" in stderr and "Traceback" not in stderr
+
     def test_missing_file_exit_code(self, tmp_path):
         subspace = tmp_path / "s.txt"
         write_matrix_text(subspace, np.eye(3)[:, :1])

@@ -358,7 +358,7 @@ class TestMatrixText:
     def test_round_trip(self, tmp_path, rng):
         a = rng.standard_normal((4, 3))
         path = tmp_path / "m.txt"
-        write_matrix_text(path, a, header_comment="test matrix")
+        write_matrix_text(path, a)
         b = read_matrix_text(path)
         assert np.array_equal(a, b)
 
