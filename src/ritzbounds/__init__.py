@@ -55,6 +55,7 @@ from .models import (
     hkappa_reference,
     periodic_exact,
     schrodinger_bounds,
+    schrodinger_drop,
     schrodinger_eta2,
     schrodinger_lambda,
     schrodinger_taylor,

@@ -243,7 +243,7 @@ def abs_cluster_bounds(k_block, mu, lambda_mp1: float, kind) -> float:
     k = np.asarray(k_block, dtype=float)
     mu = np.asarray(mu, dtype=float)
     norm_k = ui_norm(k, NormKind.SPECTRAL)
-    gap = lambda_mp1 - mu[-1]
+    gap = float(lambda_mp1 - mu[-1])
     if norm_k >= gap:
         raise HypothesisError(
             f"absolute gap hypothesis fails: ||K|| = {norm_k:.6e} >= "

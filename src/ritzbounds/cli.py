@@ -42,9 +42,9 @@ from .models import (
     hkappa_matrix,
     hkappa_reference,
     schrodinger_bounds,
+    schrodinger_drop,
     schrodinger_eta2,
     schrodinger_eta2_fd,
-    schrodinger_lambda,
     schrodinger_taylor,
     table1_row,
 )
@@ -61,6 +61,9 @@ _LOWEST_RE = re.compile(r"^lowest-(\d+)$")
 
 #: Mesh counts ``fem-periodic`` accepts.
 MESH_MIN, MESH_MAX = 8, 10**6
+
+#: Node counts ``schrodinger --oracle-fd L N`` accepts; L is finite, >= 2.
+ORACLE_NODES_MIN, ORACLE_NODES_MAX = 100, 10**6
 
 #: Default of ``fem-periodic --k-trunc``.  The option keeps its parsing and
 #: its exit code 2 but changes no column: the moments are exact alias sums.
@@ -111,6 +114,29 @@ def _bounded_int(text: str, what: str, lo: int, hi: float = math.inf) -> int:
             f"{what} must be an integer in [{lo}, {hi}], got {text!r}"
         )
     return value
+
+
+def _finite_at_least(text: str, what: str, lo: float) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= lo):
+        raise argparse.ArgumentTypeError(f"{what} must be a finite number >= {lo}, got {text!r}")
+    return value
+
+
+class _OracleFdAction(argparse.Action):
+    """``--oracle-fd L N``, both checked while parsing: a bad value is a
+    usage error before any grid is allocated."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            length = _finite_at_least(values[0], "L", 2.0)
+            nodes = _bounded_int(values[1], "N", ORACLE_NODES_MIN, ORACLE_NODES_MAX)
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        setattr(namespace, self.dest, (length, nodes))
 
 
 def _parse_mesh_list(text: str):
@@ -217,18 +243,17 @@ def _cmd_schrodinger(args, parser) -> int:
     oracle_lines = []
     for kappa in sorted(args.kappas):
         try:
-            lam = schrodinger_lambda(kappa, 1)
+            exact = schrodinger_drop(kappa)
             lower, upper = schrodinger_bounds(kappa)
         except HypothesisError as exc:
             print(f"error: kappa={kappa:g}: {exc}", file=sys.stderr)
             return EXIT_HYPOTHESIS
-        exact = (np.pi**2 - lam) / np.pi**2
         rows.append(
             (kappa, schrodinger_eta2(kappa), schrodinger_taylor(kappa), lower, upper, exact)
         )
         if args.oracle_fd is not None:
             length, nodes = args.oracle_fd
-            fd = schrodinger_eta2_fd(kappa, length=length, nodes=int(nodes))
+            fd = schrodinger_eta2_fd(kappa, length=length, nodes=nodes)
             oracle_lines.append(
                 f"# fd oracle kappa={kappa:g}: eta2={fd:.10e} "
                 f"|closed form - oracle| = {abs(fd - schrodinger_eta2(kappa)):.3e}"
@@ -327,9 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_schro.add_argument(
         "--oracle-fd",
         nargs=2,
-        type=float,
+        action=_OracleFdAction,
         metavar=("L", "N"),
-        help="also run the finite-difference defect oracle on [0, L] with N nodes",
+        help="also run the finite-difference defect oracle on [0, L] with N nodes: "
+        f"L finite and >= 2, N an integer in [{ORACLE_NODES_MIN}, {ORACLE_NODES_MAX}]",
     )
     p_schro.add_argument("--out", help="output path (default stdout)")
     p_schro.add_argument("--format", choices=("csv", "table"), default="table")

@@ -50,16 +50,20 @@ class KappaReference(NamedTuple):
     eta: float
 
 
+def _check_kappa(kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+
+
 def hkappa_matrix(kappa: float) -> SymmetricMatrix:
     """The 3x3 family member; positive definite for every kappa > 0."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     return SymmetricMatrix(
         np.array(
             [
                 [1 / 101, 0.0, -1 / 101],
                 [0.0, 1 / 100, 0.0],
-                [-1 / 101, 0.0, 1.0 + kappa**2],
+                [-1 / 101, 0.0, 1.0 + kappa * kappa],
             ]
         )
     )
@@ -79,11 +83,10 @@ def hkappa_reference(kappa: float) -> KappaReference:
     ``(mu - lambda_1)/mu = 1/(101 kappa^2) + O(kappa^-4)``, whose quotient
     with eta^2 tends to one.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     return KappaReference(
         res_norm=1 / 101,
-        eta=1.0 / math.sqrt(101.0 * (1.0 + kappa**2)),
+        eta=1.0 / math.sqrt(101.0 * (1.0 + kappa * kappa)),
     )
 
 
@@ -92,67 +95,70 @@ def hkappa_reference(kappa: float) -> KappaReference:
 # ---------------------------------------------------------------------------
 
 
-def schrodinger_lambda(kappa: float, q: int = 1) -> float:
-    """q-th bound-state energy from the matching equation.
+def _matching_offset(kappa: float, q: int) -> float:
+    """``delta = q pi - sqrt(lambda_q)`` from the matching equation.
 
-    Solves ``sqrt(kappa^2 - lambda) = -sqrt(lambda) cot(sqrt(lambda))`` by
-    bisection in ``s = sqrt(lambda)`` over ``((q - 1/2) pi, q pi)``, with
-    the endpoints nudged inward to dodge the cotangent pole.  Converges to
-    1e-12 relative accuracy or better.
+    With ``s = q pi - delta`` the equation ``sqrt(kappa^2 - s^2) = -s
+    cot(s)`` reads ``sqrt((kappa - s)(kappa + s)) tan(delta) = s``, whose
+    left side less its right increases on ``delta in (0, pi/2)``.  The
+    tangent is taken of delta itself, never of s near q pi, so delta keeps
+    full relative accuracy; the root sits near ``q pi / kappa``, and
+    bisection takes geometric steps while the bracket spans more than a
+    factor 2, then halves it until its ends are adjacent doubles.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     if q < 1:
         raise ValueError(f"mode index must be >= 1, got {q}")
-    lo = (q - 0.5) * PI + 1e-9
-    hi = q * PI - 1e-9
-    if kappa <= hi:
+    if not kappa > q * PI:
         raise HypothesisError(
             f"mode q={q} is not resolvable at kappa={kappa}: the matching "
-            f"root requires kappa > {hi:.6f}"
+            f"root requires kappa > {q * PI:.6f}"
         )
 
-    def mismatch(s: float) -> float:
-        return math.sqrt(kappa**2 - s * s) + s / math.tan(s)
+    def mismatch(delta: float) -> float:
+        s = q * PI - delta
+        return math.sqrt(kappa - s) * math.sqrt(kappa + s) * math.tan(delta) - s
 
-    f_lo = mismatch(lo)
-    f_hi = mismatch(hi)
-    if f_lo * f_hi > 0:
-        raise HypothesisError(
-            f"no sign change in the bisection bracket for q={q}, "
-            f"kappa={kappa}"
-        )
+    # at the root tan(delta) > (q - 1/2) pi / kappa, which is below 1, and
+    # atan(x) > x/2 there, so the lower end has a negative mismatch
+    lo, hi = 0.5 * (q - 0.5) * PI / kappa, 0.5 * PI
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        f_mid = mismatch(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
+        if mismatch(mid) < 0:
             lo = mid
-            f_lo = f_mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    s = 0.5 * (lo + hi)
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def schrodinger_lambda(kappa: float, q: int = 1) -> float:
+    """q-th bound-state energy ``(q pi - delta)^2`` from the matching
+    equation, with delta from ``_matching_offset``; needs kappa > q pi."""
+    s = q * PI - _matching_offset(kappa, q)
     return s * s
+
+
+def schrodinger_drop(kappa: float) -> float:
+    """Relative energy drop ``(pi^2 - lambda_1) / pi^2 = delta (2 pi -
+    delta) / pi^2`` of the lowest mode, free of the cancellation that
+    subtracting lambda_1 from pi^2 would cost at large kappa."""
+    delta = _matching_offset(kappa, 1)
+    return delta * (2.0 * PI - delta) / PI**2
 
 
 def schrodinger_taylor(kappa: float) -> float:
     """Four-term large-coupling expansion of the relative energy drop.
 
     ``(lambda^inf_1 - lambda^kappa_1) / lambda^inf_1`` expanded about
-    kappa = infinity; the neglected remainder is O(kappa^-5) with a
-    coefficient near 70.
+    kappa = infinity, evaluated in powers of 1/kappa; the neglected
+    remainder is O(kappa^-5) with a coefficient near 70.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    return (
-        2.0 / kappa
-        - 3.0 / kappa**2
-        + 8.0 * (0.5 + PI**2 / 24.0) / kappa**3
-        - 10.0 * (0.5 + 4.0 * PI**2 / 24.0) / kappa**4
-    )
+    _check_kappa(kappa)
+    c3 = 8.0 * (0.5 + PI**2 / 24.0)
+    c4 = 10.0 * (0.5 + 4.0 * PI**2 / 24.0)
+    return (((c3 - c4 / kappa) / kappa - 3.0) / kappa + 2.0) / kappa
 
 
 def schrodinger_eta2(kappa: float) -> float:
@@ -163,30 +169,30 @@ def schrodinger_eta2(kappa: float) -> float:
     (kappa + 3) / (pi^2 (kappa + 1)), which collapses the defect quotient
     to 2 / (3 + kappa).
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     return 2.0 / (3.0 + kappa)
 
 
-def _solve_tridiagonal(diag, off, rhs) -> np.ndarray:
-    """Solve T x = rhs for the symmetric tridiagonal T with diagonal
+def _inverse_quadratic_form(diag, off: float, rhs) -> float:
+    """``rhs^T T^-1 rhs`` for the symmetric tridiagonal T with diagonal
     ``diag`` and every off-diagonal entry equal to ``off``.
 
-    Thomas elimination without pivoting, which is stable for the
-    diagonally dominant matrices it is used on.
+    One forward sweep of ``T = L D L^T``: the pivots ``p_i = d_i -
+    off^2 / p_(i-1)`` and ``y = L^-1 rhs``, ``y_i = rhs_i - (off /
+    p_(i-1)) y_(i-1)``, give ``y^T D^-1 y = sum y_i^2 / p_i``.  On the
+    positive definite matrices it is used on every pivot is positive, so
+    no term of the sum cancels.
     """
-    d = np.asarray(diag, dtype=float).tolist()
-    x = np.asarray(rhs, dtype=float).tolist()
-    ratios = [0.0] * len(d)
-    pivot = d[0]
-    x[0] /= pivot
-    for i in range(1, len(d)):
-        ratios[i - 1] = off / pivot
-        pivot = d[i] - off * ratios[i - 1]
-        x[i] = (x[i] - off * x[i - 1]) / pivot
-    for i in range(len(d) - 2, -1, -1):
-        x[i] -= ratios[i] * x[i + 1]
-    return np.array(x)
+    # a memoryview of a float64 array yields Python floats one at a time,
+    # without the two lists ``tolist`` would build
+    diag, rhs = (memoryview(np.ascontiguousarray(a, dtype=float)) for a in (diag, rhs))
+    pivot, y, total = math.inf, 0.0, 0.0
+    for d, r in zip(diag, rhs):
+        ratio = off / pivot
+        pivot = d - off * ratio
+        y = r - ratio * y
+        total += y * y / pivot
+    return total
 
 
 def schrodinger_eta2_fd(kappa: float, length: float = 10.0, nodes: int = 20000) -> float:
@@ -195,22 +201,27 @@ def schrodinger_eta2_fd(kappa: float, length: float = 10.0, nodes: int = 20000) 
     Central differences on [0, length] with a homogeneous Dirichlet
     truncation; the domain truncation error is exponentially small in
     kappa (length - 1) and the discretization error is O(h^2).  Evaluates
-    ``((psi, H^{-1} psi) - 1/mu) / (psi, H^{-1} psi)`` with mu = pi^2.
+    ``((psi, H^{-1} psi) - 1/mu) / (psi, H^{-1} psi)`` with mu = pi^2, the
+    moment ``(psi, H^{-1} psi)`` from one forward sweep over the nodes
+    (``_inverse_quadratic_form``).
     """
-    if length < 2.0:
+    _check_kappa(kappa)
+    if not length >= 2.0:
         raise ValueError("truncated domain must extend past the potential step")
     if nodes < 100:
         raise ValueError("need at least 100 grid nodes")
+    if not length < nodes:
+        raise ValueError("the grid step length/nodes must be below 1 to place nodes in [0, 1]")
     h = length / nodes
     x = h * np.arange(1, nodes)
     psi = np.where(x <= 1.0, np.sqrt(2.0) * np.sin(PI * x), 0.0)
-    potential = np.where(x >= 1.0, kappa**2, 0.0)
+    kappa2 = kappa * kappa
+    potential = np.where(x >= 1.0, kappa2, 0.0)
     # half weight where a node sits exactly on the potential jump keeps
     # the scheme second order
     on_jump = np.abs(x - 1.0) <= 0.25 * h
-    potential[on_jump] = 0.5 * kappa**2
-    u = _solve_tridiagonal(2.0 / h**2 + potential, -1.0 / h**2, psi)
-    moment = h * float(psi @ u)
+    potential[on_jump] = 0.5 * kappa2
+    moment = h * _inverse_quadratic_form(2.0 / h**2 + potential, -1.0 / h**2, psi)
     return (moment - 1.0 / PI**2) / moment
 
 

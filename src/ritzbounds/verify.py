@@ -114,9 +114,9 @@ def check_route_equivalence(rng):
         n = int(rng.integers(2 * m + 2, 30))
         h = _random_spd(rng, n)
         s = _random_subspace(rng, n, m)
-        e1 = _defect.etas_schur(_defect.p_diagonal_split(h, s)).etas
-        rd = _defect.ritz(h, s)
-        e2 = _defect.etas_moments(*_defect.moment_matrices(h, rd)).etas
+        split = _defect.p_diagonal_split(h, s)
+        e1 = _defect.etas_schur(split).etas
+        e2 = _defect.etas_moments(*_defect.moment_matrices(h, split.ritz)).etas
         worst = max(worst, float(np.max(np.abs(e1 - e2))))
     return worst <= 1e-9, f"max route disagreement {worst:.2e}"
 
@@ -191,8 +191,8 @@ def check_wilkinson_zero_complement(rng):
 def check_sandwich_containment(rng):
     for _ in range(10):
         h, lam, s = _clustered(rng, 10, 2)
-        rd = _defect.ritz(h, s)
         split = _defect.p_diagonal_split(h, s)
+        rd = split.ritz
         ds = _defect.etas_schur(split)
         g1 = _bounds.relative_gap_gq(split.w_values, lam[0])
         true_sum = float(((rd.mu - lam[0]) / rd.mu).sum())
@@ -210,8 +210,8 @@ def check_sandwich_containment(rng):
 def check_cluster_bound_validity(rng):
     for _ in range(10):
         h, lam, s = _clustered(rng, 10, 2)
-        rd = _defect.ritz(h, s)
         split = _defect.p_diagonal_split(h, s)
+        rd = split.ritz
         ds = _defect.etas_schur(split)
         gam = _bounds.gamma_s(0.0, lam[2], rd.mu[0], rd.mu[-1])
         if ds.eta_max / (1 - ds.eta_max) >= gam:
@@ -242,8 +242,8 @@ def check_report_scaling_robustness(rng):
 def check_corollary_gap_consistency(rng):
     for _ in range(10):
         h, lam, s = _clustered(rng, 10, 2)
-        rd = _defect.ritz(h, s)
         split = _defect.p_diagonal_split(h, s)
+        rd = split.ritz
         ds = _defect.etas_schur(split)
         gam = (lam[2] - rd.mu[-1]) / (lam[2] + rd.mu[-1])
         if ds.eta_max >= gam:
@@ -294,7 +294,7 @@ def check_kappa_error_expansion(rng):
 def check_schrodinger_sandwich(rng):
     for k in (5.0, 10.0, 100.0, 1000.0):
         lower, upper = _models.schrodinger_bounds(k)
-        quotient = (math.pi**2 - _models.schrodinger_lambda(k, 1)) / math.pi**2
+        quotient = _models.schrodinger_drop(k)
         if not lower <= quotient <= upper:
             return False, f"kappa={k:g}: {quotient:.6e} outside [{lower:.6e}, {upper:.6e}]"
     return True, "two-sided estimate holds at kappa in {5, 10, 100, 1000}"
@@ -302,8 +302,7 @@ def check_schrodinger_sandwich(rng):
 
 def check_schrodinger_taylor_agreement(rng):
     k = 1000.0
-    quotient = (math.pi**2 - _models.schrodinger_lambda(k, 1)) / math.pi**2
-    diff = abs(quotient - _models.schrodinger_taylor(k))
+    diff = abs(_models.schrodinger_drop(k) - _models.schrodinger_taylor(k))
     return diff <= 1e-12, f"|bisection - series| = {diff:.2e} at kappa = 1000"
 
 

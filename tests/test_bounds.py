@@ -521,6 +521,19 @@ class TestReport:
         }
         assert {e["theorem"] for e in d["entries"]} <= set(bounds.THEOREM_TAGS)
 
+    def test_aggregates_and_entry_bounds_are_python_floats(self, rng):
+        # np.float64 passes isinstance(x, float), so the type is compared
+        reports = [build_report(*converged_case(rng, 24, m, 1e-4)[::2]) for m in (1, 2, 4)]
+        for k in (0, 3, 4):
+            h, basis, _ = graded_24_decades(k, *GRADED_24[k], (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5])
+            reports.append(build_report(h, Subspace(basis)))
+        assert any(r.aggregates["abs_cluster"] is not None for r in reports)
+        for r in reports:
+            for key, value in r.aggregates.items():
+                assert value is None or type(value) is float, (key, type(value))
+            for e in r.entries:
+                assert type(e.lower) is float and type(e.upper) is float, e
+
 
 # The hypotheses of each theorem as the paper states them: first-order
 # localization and the quadratic cluster bound need the defect below the

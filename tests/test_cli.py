@@ -242,6 +242,35 @@ class TestModelCommands:
         code = run_cli("schrodinger", "--kappas", "2")
         assert code == cli.EXIT_HYPOTHESIS
 
+    @pytest.mark.parametrize(
+        "length, nodes",
+        [("10", "20000.7"), ("inf", "1000"), ("10", "nan"), ("10", "50"), ("1.5", "1000"), ("10", "1e9")],
+    )
+    def test_schrodinger_oracle_fd_usage_errors(self, length, nodes, monkeypatch, capsys):
+        # rejected while parsing, before any grid is allocated
+        monkeypatch.setattr(cli, "schrodinger_eta2_fd", None)
+        with pytest.raises(SystemExit) as err:
+            run_cli("schrodinger", "--kappas", "100", "--oracle-fd", length, nodes)
+        assert err.value.code == 2
+        assert "--oracle-fd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("schrodinger", "--kappas", "4e9"), cli.EXIT_OK),
+            (("schrodinger", "--kappas", "1e155"), cli.EXIT_OK),
+            (("kappa-demo", "--kappas", "1e160"), cli.EXIT_FAILURE),
+        ],
+    )
+    def test_large_coupling_exits_without_traceback(self, argv, code, capsys):
+        # an exception main() does not catch would print a traceback
+        assert run_cli(*argv, "--format", "csv") == code
+        if code == cli.EXIT_OK:
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert 0.0 < float(row[-1]) < 1e-9
+        else:
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_fem_periodic_single_row(self, capsys):
         code = run_cli("fem-periodic", "--n-list", "16", "--k-trunc", "2000",
                        "--format", "csv")

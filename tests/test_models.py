@@ -19,6 +19,7 @@ from ritzbounds.models import (
     periodic_exact,
     periodic_moment_matrix,
     schrodinger_bounds,
+    schrodinger_drop,
     schrodinger_eta2,
     schrodinger_eta2_fd,
     schrodinger_lambda,
@@ -139,7 +140,7 @@ class TestSchrodinger:
         assert fd == pytest.approx(schrodinger_eta2(100.0), abs=1e-3)
 
     @pytest.mark.parametrize("nodes", [100, 20000])
-    def test_tridiagonal_solve_matches_solve_banded(self, nodes):
+    def test_inverse_quadratic_form_matches_solve_banded(self, nodes):
         # the finite-difference oracle's system: -u'' + V u on [0, 10]
         # with a step potential, against LAPACK's banded LU
         from scipy.linalg import solve_banded
@@ -151,9 +152,52 @@ class TestSchrodinger:
         off = -1.0 / h**2
         rhs = rng.standard_normal(nodes - 1)
         banded = np.vstack([np.full(nodes - 1, off), diag, np.full(nodes - 1, off)])
-        expected = solve_banded((1, 1), banded, rhs)
-        got = models._solve_tridiagonal(diag, off, rhs)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        expected = float(rhs @ solve_banded((1, 1), banded, rhs))
+        got = models._inverse_quadratic_form(diag, off, rhs)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("kappa, parent_error", [(5.0, 6.2e-14), (100.0, 1.0e-12), (1e4, 6.5e-10)])
+    def test_eta2_fd_against_mpmath_discrete_form(self, kappa, parent_error, monkeypatch):
+        # the oracle's own diagonal and sine vector, evaluated in 40
+        # digits; each bound is the error a Thomas solve of T u = psi
+        # (a forward and a backward sweep) reaches on the same form
+        seen = {}
+        sweep = models._inverse_quadratic_form
+
+        def spy(diag, off, rhs):
+            seen.update(diag=diag, off=off, rhs=rhs)
+            return sweep(diag, off, rhs)
+
+        monkeypatch.setattr(models, "_inverse_quadratic_form", spy)
+        got = schrodinger_eta2_fd(kappa, length=10.0, nodes=2000)
+        with mpmath.workdps(40):
+            off = mpmath.mpf(seen["off"])
+            pivot, y, total = mpmath.inf, mpmath.mpf(0), mpmath.mpf(0)
+            for d, r in zip(seen["diag"].tolist(), seen["rhs"].tolist()):
+                pivot, y = d - off * off / pivot, r - off / pivot * y
+                total += y * y / pivot
+            moment = mpmath.mpf(10.0 / 2000) * total
+            exact = (moment - 1 / mpmath.mpf(PI) ** 2) / moment
+            assert abs(got - exact) / exact <= parent_error
+
+    @pytest.mark.parametrize("kappa", [5.0, 1e3, 1e6, 1e9])
+    def test_drop_matches_mpmath_root(self, kappa):
+        with mpmath.workdps(60):
+            k = mpmath.mpf(kappa)
+            s = mpmath.findroot(
+                lambda t: mpmath.sqrt(k**2 - t**2) + t / mpmath.tan(t),
+                (mpmath.pi / 2 + mpmath.mpf(10) ** -40, mpmath.pi - mpmath.mpf(10) ** -40),
+                solver="anderson",
+            )
+            exact = (mpmath.pi**2 - s**2) / mpmath.pi**2
+            assert abs(schrodinger_drop(kappa) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("kappa", [4e9, 1e12, 1e100])
+    def test_large_coupling_resolves_and_meets_the_series(self, kappa):
+        # the series' remainder, about 70/kappa^5, is below rounding here
+        series = schrodinger_taylor(kappa)
+        assert abs(schrodinger_drop(kappa) - series) <= 1e-13 * series
+        assert schrodinger_lambda(kappa, 1) <= PI**2
 
     def test_sandwich_exact_arithmetic_at_five(self):
         lower, upper = schrodinger_bounds(5.0)
