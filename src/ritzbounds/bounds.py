@@ -359,17 +359,18 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     """Run the full defect/bound pipeline for one operator and subspace.
 
     ``lambda_ref`` supplies the reference eigenvalues (exact values where a
-    model provides them).  By default the ``min(n, q+m+1)`` lowest are
-    computed from ``h``, the ones the report reads: ``1/eigvalsh`` of the
-    split's inverse Gram, or dqds when they spread beyond ``defect.SPREAD``
-    or tie (``defect._lowest_eigenvalues``).  That prefix reaches index
-    ``q+m`` whenever n does, so ``lambda_(q+m)`` and ``lambda_(m+1)`` are
-    ``inf`` exactly when ``q+m-1`` or ``m`` reaches n.  ``g_q`` and
-    ``g_1`` read the ``q`` smallest eigenvalues of W, ``1/s11_values`` of
-    the split.  ``q`` is the 1-based index of the target eigenvalue
-    cluster; ``q < 1`` raises ``ValueError`` before H is factored.  Each
-    entry's validity is the conjunction of its theorem's flags in
-    ``THEOREMS``.
+    model provides them), a 1-d array of finite, positive, nondecreasing
+    values.  By default the ``min(n, q+m+1)`` lowest are computed from
+    ``h``, the ones the report reads: ``1/eigvalsh`` of the split's inverse
+    Gram, or dqds when they spread beyond ``defect.SPREAD`` or tie
+    (``defect._lowest_eigenvalues``).  That prefix reaches index ``q+m``
+    whenever n does, so ``lambda_(q+m)`` and ``lambda_(m+1)`` are ``inf``
+    exactly when ``q+m-1`` or ``m`` reaches n.  ``g_q`` and ``g_1`` read
+    the split's ``w_values[:q]``, the ``q`` smallest eigenvalues of W.
+    ``q`` is the 1-based index of the target eigenvalue cluster.  A ``q <
+    1`` or a malformed ``lambda_ref`` raises ``ValueError`` before H is
+    factored.  Each entry's validity is the conjunction of its theorem's
+    flags in ``THEOREMS``.
     ``routes_agree`` is relative (``ROUTES_RTOL``, ``ROUTES_ATOL``), and
     ``tk_gap`` needs ``lambda_2 - mu_1`` above ``n eps |u_1|^T |H| |u_1|``,
     the a-priori rounding bound of the quadratic form ``mu_1 = u_1^T H u_1``,
@@ -379,6 +380,12 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     """
     if q < 1:
         raise ValueError(f"target index q must be at least 1, got {q}")
+    if lambda_ref is not None:
+        lambda_ref = np.asarray(lambda_ref, dtype=float)
+        if lambda_ref.ndim != 1 or not (
+            np.all(np.isfinite(lambda_ref) & (lambda_ref > 0)) and np.all(np.diff(lambda_ref) >= 0)
+        ):
+            raise ValueError("lambda_ref must be a 1-d array of finite, positive, nondecreasing values")
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
     split = p_diagonal_split(hm, subspace)
@@ -393,7 +400,6 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
 
     if lambda_ref is None:
         lambda_ref = _lowest_eigenvalues(split, q + m + 1)
-    lambda_ref = np.asarray(lambda_ref, dtype=float)
     if q + m - 1 > len(lambda_ref):
         raise ValueError(
             f"target index q={q} with cluster size m={m} needs at least "
@@ -404,10 +410,9 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     lam_qpm = float(lambda_ref[q + m - 1]) if q + m - 1 < len(lambda_ref) else INF
     lam_mp1 = float(lambda_ref[m]) if m < len(lambda_ref) else INF
 
-    # the quotients |lambda - w|/w read only the w next to lambda_q and
-    # lambda_1, which by interlacing (w_q >= lambda_q) are among the q
-    # smallest
-    w_values = 1.0 / split.s11_values[:q]
+    # |lambda - w|/w is least at the w next to lambda_q and lambda_1, which
+    # by interlacing (w_q >= lambda_q) are among the q smallest
+    w_values = split.w_values[:q]
     g_q = relative_gap_gq(w_values, lam_q)
     g_1 = g_q if q == 1 else relative_gap_gq(w_values, float(lambda_ref[0]))
     gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)

@@ -152,6 +152,8 @@ def _load_subspace(args, parser, n: int) -> TestSubspace:
     match = _LOWEST_RE.match(args.subspace)
     if match:
         k = int(match.group(1))
+        if not 1 <= k < n:
+            parser.error(f"lowest-{k} needs 1 <= k < {n}")
         if args.precond is None:
             parser.error("--subspace lowest-K needs --precond with a matrix file")
         precond = read_matrix_text(args.precond)
@@ -161,12 +163,8 @@ def _load_subspace(args, parser, n: int) -> TestSubspace:
                 f"operator size {n}"
             )
         _, vectors = sym_eig(precond)
-        if not 1 <= k < n:
-            parser.error(f"lowest-{k} needs 1 <= k < {n}")
         return TestSubspace(vectors[:, :k])
     basis = read_matrix_text(args.subspace)
-    if basis.ndim == 1:
-        basis = basis[:, None]
     if basis.shape[0] != n:
         parser.error(
             f"subspace has {basis.shape[0]} rows but the operator is {n} x {n}"
@@ -380,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fem.add_argument("--format", choices=("csv", "table"), default="csv")
 
     p_verify = sub.add_parser("verify", help="run the named property checks")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="rng seed (default %(default)s)")
+    p_verify.add_argument(
+        "--seed", type=lambda s: _bounded_int(s, "seed", 0), default=DEFAULT_SEED,
+        help="rng seed, an integer >= 0 (default %(default)s)",
+    )
     p_verify.add_argument("--only", help="comma-separated subset of check names")
 
     return parser
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
-    except (RitzBoundsError, ValueError) as exc:
+    except (RitzBoundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

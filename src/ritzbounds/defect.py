@@ -51,11 +51,10 @@ from .errors import NotPositiveDefiniteError, SingularOperatorError
 #: singular value against spectral norm).
 INVERTIBILITY_RTOL = 1e-12
 
-#: The eigenvalues of H read from its inverse Gram (``p_diagonal_split``)
-#: are those within this factor of the smallest: ``lambda_k <= SPREAD
-#: lambda_1``, where ``eigvalsh`` keeps about ``eps lambda_k/lambda_1``
-#: relative accuracy.  Anything beyond takes the dqds route.  The same
-#: factor bounds ``SplitOperator.w_values``.
+#: ``_lowest_eigenvalues`` reads the eigenvalues of H from the split's
+#: inverse Gram only when those it returns lie within this factor of the
+#: smallest, ``lambda_k <= SPREAD lambda_1``, where ``eigvalsh`` keeps
+#: about ``eps lambda_k/lambda_1`` relative accuracy; else it takes dqds.
 SPREAD = 64.0
 
 #: ``TestSubspace.from_columns`` warns when orthonormalization moves an
@@ -186,11 +185,10 @@ class SplitOperator:
     R (see ``p_diagonal_split``): its eigenvalues are ``1/lambda_j``, and
     its leading (n-m) x (n-m) block ``S11 = X11^T X11`` is ``W^-1`` in
     the column basis of R11.  ``s11_values`` holds every eigenvalue
-    ``theta_j = 1/w_j`` of S11, descending; ``eigvalsh`` gives ``w_j`` to
-    about ``n eps w_j/w_1`` relative, and the ``w_values`` property is the
-    bracket where that is rounding: the ascending ``w_j`` up to ``SPREAD
-    w_1``.  ``residual`` is the block ``H U - U Xi`` and ``h_factor`` H's
-    ``sorted_cholesky``.
+    ``theta_j = 1/w_j`` of S11, descending, and the ``w_values`` property
+    every eigenvalue ``w_j`` of W, ascending; ``eigvalsh`` gives each
+    ``w_j`` to about ``n eps w_j/w_1`` relative.  ``residual`` is the
+    block ``H U - U Xi`` and ``h_factor`` H's ``sorted_cholesky``.
     """
 
     k_s: np.ndarray
@@ -202,8 +200,7 @@ class SplitOperator:
 
     @property
     def w_values(self) -> np.ndarray:
-        theta = self.s11_values
-        return 1.0 / theta[theta * SPREAD >= theta[0]]
+        return 1.0 / self.s11_values
 
     @property
     def mu(self) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import cluster_upper_bound, relative_gap_gq
+from .bounds import cluster_upper_bound
 from .defect import RitzData, etas_moments
 from .densela import SymmetricMatrix, values_norm
 from .errors import HypothesisError
@@ -259,22 +259,18 @@ ALIAS_TERMS = 10_000
 def periodic_exact(alpha: float, k: int):
     """k-th smallest exact eigenvalue and its integer frequency.
 
-    The eigenvalues are ``(j + 1/2)^2 - alpha`` over integer frequencies j;
-    ties (every eigenvalue is double) are broken by frequency.  Raises when
-    the requested eigenvalue is not positive.
+    The eigenvalues are ``(j + 1/2)^2 - alpha`` over integer frequencies j,
+    each double (at j and -j-1); ties are broken by frequency, so the k-th
+    has ``j = (k-1)//2`` at frequency -j-1 for odd k and j for even k.
+    Raises when the requested eigenvalue is not positive.
     """
     if k < 1:
         raise ValueError(f"eigenvalue index must be >= 1, got {k}")
-    span = k + 3
-    freqs = np.arange(-span, span + 1)
-    values = (freqs + 0.5) ** 2 - alpha
-    order = np.lexsort((freqs, values))
-    lam = float(values[order[k - 1]])
+    j = (k - 1) // 2
+    lam = float((j + 0.5) ** 2 - alpha)
     if lam <= 0.0:
-        raise ValueError(
-            f"eigenvalue {k} is not positive for alpha = {alpha}: {lam}"
-        )
-    return lam, int(freqs[order[k - 1]])
+        raise ValueError(f"eigenvalue {k} is not positive for alpha = {alpha}: {lam}")
+    return lam, -j - 1 if k % 2 else j
 
 
 def fem_assemble(n_mesh: int, alpha: float = DEFAULT_ALPHA):
@@ -391,15 +387,15 @@ def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA):
       eigenvalue lambda, ``sqrt(2) d/mu`` from ``_half_mode``'s distance d,
     * upper  - the quadratic cluster bound at the exact relative gap.
 
-    The gap is taken from the exact spectrum beyond the cluster: by
-    min-max the discrete pencil values there lie above the exact third
-    eigenvalue, so they never set it.
+    The gap ``(lambda_3 - lambda_1)/lambda_3`` is the least ``|lambda_1 -
+    lambda|/lambda`` over the exact spectrum beyond the cluster: by min-max
+    the discrete pencil values there lie above lambda_3, so they never set it.
     """
     defects = etas_moments(*periodic_moment_matrix(n_mesh, alpha))
     lam1, _ = periodic_exact(alpha, 1)
+    lam3, _ = periodic_exact(alpha, 3)
     distance = _half_mode(n_mesh)[3]
     lower = values_norm(defects.etas**2, "frobenius")
     middle = math.sqrt(2.0) * distance / (lam1 + distance)
-    exact_rest = [periodic_exact(alpha, k)[0] for k in range(3, 9)]
-    upper = cluster_upper_bound(defects, relative_gap_gq(exact_rest, lam1), "frobenius")
+    upper = cluster_upper_bound(defects, (lam3 - lam1) / lam3, "frobenius")
     return lower, middle, upper

@@ -484,6 +484,25 @@ class TestReport:
         with pytest.raises(ValueError, match="q must be at least 1"):
             build_report(np.diag(np.arange(1.0, 7.0)), span_e1(6), q=q)
 
+    @pytest.mark.parametrize(
+        "lambda_ref",
+        [[np.nan, 1, 3, 4], [1, 1, np.inf, 4], [4, 3, 1, 1], [[1, 1, 3, 4]], [0, 1, 3, 4], [-1, 1, 3, 4]],
+        ids=["nan", "inf", "decreasing", "2d", "zero", "negative"],
+    )
+    def test_malformed_lambda_ref_is_refused_before_factoring(self, lambda_ref, monkeypatch, rng):
+        h, lam, eigenspace = clustered_spd(rng, 8, 2)
+        calls = []
+        factor = defect.sorted_cholesky
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(defect, "sorted_cholesky", counted)
+        with pytest.raises(ValueError, match="lambda_ref must be"):
+            build_report(h, Subspace(tilted_basis(rng, eigenspace)), lambda_ref=lambda_ref)
+        assert not calls
+
     def test_rotated_cluster_report_brackets(self, rng):
         h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
         report = build_report(h, s, "frobenius", lambda_ref=lam)
@@ -982,9 +1001,9 @@ def test_fast_path_report_takes_no_dqds_of_h_or_w_and_no_dense_inverse(monkeypat
 
 
 def test_q1_report_reads_w_1_from_a_one_value_bracket(monkeypatch):
-    # by interlacing (w_q >= lambda_q) a q = 1 report reads only w_1, so the
-    # kappa family's one-value bracket [1/100] serves it: no SVD of the
-    # n x (n-m) G runs, and g_1 keeps the bracket's exact w_1
+    # by interlacing (w_q >= lambda_q) a q = 1 report reads only w_1 of the
+    # split's w_values, all n - m eigenvalues of W: no SVD of the n x (n-m)
+    # G runs, and g_1 keeps the exact w_1 = 1/100 of the kappa family
     shapes = []
     svd = np.linalg.svd
 
@@ -994,7 +1013,7 @@ def test_q1_report_reads_w_1_from_a_one_value_bracket(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     h = kappa_matrix(10.0)
-    assert len(p_diagonal_split(h, span_e1()).w_values) == 1
+    assert len(p_diagonal_split(h, span_e1()).w_values) == len(h) - 1
     report = build_report(h, span_e1())
     assert shapes and (3, 2) not in shapes, shapes
     with mpmath.workdps(50):
@@ -1007,13 +1026,13 @@ def test_q1_report_reads_w_1_from_a_one_value_bracket(monkeypatch):
 
 def test_resolvent_past_the_bracket_forms_no_g(monkeypatch):
     # the collision check runs over every eigenvalue theta of the S11 the
-    # resolvent solves with, so a lambda beyond the w bracket needs neither
-    # G nor dqds, and lambda = 1/theta_j outside the bracket still collides
+    # resolvent solves with, so a lambda between w_7 and w_8, beyond SPREAD
+    # w_1, needs neither G nor dqds, and every lambda = 1/theta_j collides
     rng = np.random.default_rng(15)
     h = random_spd(rng, 10)
     split = p_diagonal_split(h, Subspace(random_subspace(rng, 10, 2)))
-    theta, bracket = split.s11_values, len(split.w_values)
-    assert bracket < len(theta)
+    theta = split.s11_values
+    assert theta[-1] * defect.SPREAD < theta[0]
     calls = []
 
     def counted(f):
@@ -1025,11 +1044,11 @@ def test_resolvent_past_the_bracket_forms_no_g(monkeypatch):
 
     for name in ("orthonormal_completion", "singular_values"):
         monkeypatch.setattr(defect, name, counted(getattr(defect, name)))
-    lam = 0.5 * (1.0 / theta[bracket - 1] + 1.0 / theta[bracket])
+    lam = 0.5 * (1.0 / theta[-2] + 1.0 / theta[-1])
     exactness_ratio(split, lam)
     relative_residual_identity(split, split.ritz, lam)
     assert not calls
-    for lam in 1.0 / theta[bracket:]:
+    for lam in 1.0 / theta:
         with pytest.raises(SingularOperatorError):
             exactness_ratio(split, lam)
         with pytest.raises(SingularOperatorError):
@@ -1102,13 +1121,13 @@ def test_exactness_correction_on_24_decade_grading_matches_mpmath(k):
 
 @pytest.mark.parametrize("k", range(len(GRADED_24)))
 def test_complement_values_on_24_decade_grading_match_mpmath(k):
-    # a report reads w_1..w_q as 1/s11_values, inside the SPREAD bracket
-    # and beyond it, where eigvalsh's a-priori error n eps w_k/w_1 is far
-    # above the error it attains on these cases
+    # a report reads w_1..w_q as the split's w_values, up to SPREAD w_1 and
+    # beyond, where eigvalsh's a-priori error n eps w_k/w_1 is far above
+    # the error it attains on these cases
     n, m = GRADED_24[k]
     tilt = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5]
     h, basis, _ = graded_24_decades(k, n, m, tilt)
-    w = 1.0 / p_diagonal_split(h, Subspace(basis)).s11_values[:4]
+    w = p_diagonal_split(h, Subspace(basis)).w_values[:4]
     with mpmath.workdps(60):
         hm, _, v = mp_bases(h, basis)
         exact = np.array(sorted(mpmath.eigsy(v.T * hm * v, eigvals_only=True))[:4], dtype=float)

@@ -271,6 +271,18 @@ class TestModelCommands:
         else:
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["bounds", "kappa-demo", "schrodinger", "fem-periodic"])
+    def test_unwritable_out_is_an_error_not_a_traceback(self, command, kappa_files, tmp_path, capsys):
+        argv = {
+            "bounds": ["--matrix", str(kappa_files[0]), "--subspace", str(kappa_files[1])],
+            "fem-periodic": ["--n-list", "16"],
+        }.get(command, [])
+        out = tmp_path / "missing" / "x.txt"
+        assert run_cli(command, *argv, "--out", str(out)) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.parent.exists()
+
     def test_fem_periodic_single_row(self, capsys):
         code = run_cli("fem-periodic", "--n-list", "16", "--k-trunc", "2000",
                        "--format", "csv")
@@ -365,6 +377,13 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             run_cli("verify", "--only", "no.such.check")
         assert err.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_checks", None)
+        with pytest.raises(SystemExit) as err:
+            run_cli("verify", "--seed", "-1")
+        assert err.value.code == 2
+        assert "seed must be an integer" in capsys.readouterr().err
 
     def test_seed_determinism(self, capsys):
         run_cli("verify", "--only", "defect.route_equivalence", "--seed", "5")

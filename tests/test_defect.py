@@ -128,6 +128,16 @@ class TestPDiagonalSplit:
         split = p_diagonal_split(0.5 * (h + h.T), s)
         assert np.max(np.abs(split.k_s)) <= 1e-12
 
+    def test_w_values_are_every_eigenvalue_of_w(self, rng):
+        # w_values is all of spec(W), the reciprocals of the descending
+        # s11_values, with no bracket
+        h = random_spd(rng, 10)
+        split = p_diagonal_split(h, Subspace(random_subspace(rng, 10, 2)))
+        assert len(split.w_values) == 10 - 2
+        assert np.array_equal(split.w_values, 1.0 / split.s11_values)
+        assert np.all(np.diff(split.w_values) > 0)
+        assert split.w_values[-1] > defect.SPREAD * split.w_values[0]
+
     def test_kappa_family_closed_form(self):
         for k in (10.0, 100.0, 1000.0):
             split = p_diagonal_split(kappa_matrix(k), span_e1())
@@ -144,10 +154,16 @@ class TestPDiagonalSplit:
         v = orthonormal_completion(u)
         coupling = v.T @ h @ u
         w_values, w_vectors = np.linalg.eigh(v.T @ h @ v)
-        # the bracket is every w up to SPREAD w_1, each to relative accuracy
-        bracket = np.count_nonzero(w_values <= defect.SPREAD * w_values[0])
-        assert 2 <= bracket < len(w_values)
-        assert_allclose(split.w_values, w_values[:bracket], rtol=1e-12)
+        # every w_j, within the a-priori n eps w_j/w_1 of the split's route
+        # plus the dense reference's own eps ||W||/w_j, and those up to
+        # SPREAD w_1 to 1e-12
+        eps = np.finfo(float).eps
+        bound = len(h) * eps * w_values / w_values[0] + eps * w_values[-1] / w_values
+        assert len(split.w_values) == len(w_values)
+        assert np.all(np.abs(split.w_values - w_values) <= bound * w_values)
+        near = w_values <= defect.SPREAD * w_values[0]
+        assert 2 <= np.count_nonzero(near) < len(w_values)
+        assert_allclose(split.w_values[near], w_values[near], rtol=1e-12)
         # the residual block's complement part is the coupling block, and
         # its part along the Ritz vectors vanishes
         r = split.residual
