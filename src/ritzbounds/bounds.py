@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,11 @@ from .defect import (
     TestSubspace,
     _lowest_eigenvalues,
     _resolvent_term,
-    _scaled_residual,
+    etas_residual,
     etas_schur,
     p_diagonal_split,
 )
-from .densela import NormKind, as_symmetric, singular_values, ui_norm, values_norm
+from .densela import NormKind, as_symmetric, ui_norm, values_norm
 from .errors import HypothesisError, SingularOperatorError
 
 INF = float("inf")
@@ -358,19 +359,19 @@ def _routes_agree(schur: DefectSpectrum, moments: DefectSpectrum, n: int) -> boo
 def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=None, q: int = 1) -> BoundReport:
     """Run the full defect/bound pipeline for one operator and subspace.
 
-    ``lambda_ref`` supplies the reference eigenvalues (exact values where a
-    model provides them), a 1-d array of finite, positive, nondecreasing
-    values.  By default the ``min(n, q+m+1)`` lowest are computed from
-    ``h``, the ones the report reads: ``1/eigvalsh`` of the split's inverse
-    Gram, or dqds when they spread beyond ``defect.SPREAD`` or tie
-    (``defect._lowest_eigenvalues``).  That prefix reaches index ``q+m``
-    whenever n does, so ``lambda_(q+m)`` and ``lambda_(m+1)`` are ``inf``
-    exactly when ``q+m-1`` or ``m`` reaches n.  ``g_q`` and ``g_1`` read
-    the split's ``w_values[:q]``, the ``q`` smallest eigenvalues of W.
-    ``q`` is the 1-based index of the target eigenvalue cluster.  A ``q <
-    1`` or a malformed ``lambda_ref`` raises ``ValueError`` before H is
-    factored.  Each entry's validity is the conjunction of its theorem's
-    flags in ``THEOREMS``.
+    ``q``, an integer >= 1 and not a bool, is the 1-based index of the
+    target cluster.  ``lambda_ref`` supplies the reference eigenvalues
+    (exact where a model provides them), a 1-d array of finite, positive,
+    nondecreasing values.  A bad ``q`` or ``lambda_ref``, or fewer than
+    ``q+m-1`` reference values (``len(lambda_ref)``, else n), raises
+    ``ValueError`` before H is factored.  Unless supplied, the ``min(n,
+    q+m+1)`` lowest are ``1/eigvalsh`` of the split's inverse Gram, or
+    dqds when they spread beyond ``defect.SPREAD`` or tie, so
+    ``lambda_(q+m)`` and ``lambda_(m+1)`` are ``inf`` exactly when
+    ``q+m-1`` or ``m`` reaches n.  ``g_q`` and ``g_1`` read the split's
+    ``w_values[:q]``, the ``q`` smallest eigenvalues of W; the moment
+    route, ``dl`` and the residual quotients are ``defect.etas_residual``.
+    Each entry's validity is the conjunction of its flags in ``THEOREMS``.
     ``routes_agree`` is relative (``ROUTES_RTOL``, ``ROUTES_ATOL``), and
     ``tk_gap`` needs ``lambda_2 - mu_1`` above ``n eps |u_1|^T |H| |u_1|``,
     the a-priori rounding bound of the quadratic form ``mu_1 = u_1^T H u_1``,
@@ -378,6 +379,9 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     ``tk_gap`` and ``abs_gap`` also need q = 1: Temple-Kato bounds ``mu_1 -
     lambda_1`` and the absolute cluster bound covers ``lambda_1..lambda_m``.
     """
+    if isinstance(q, bool) or not hasattr(q, "__index__"):
+        raise ValueError(f"target index q must be an integer, got {q!r}")
+    q = operator.index(q)
     if q < 1:
         raise ValueError(f"target index q must be at least 1, got {q}")
     if lambda_ref is not None:
@@ -388,23 +392,21 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
             raise ValueError("lambda_ref must be a 1-d array of finite, positive, nondecreasing values")
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
-    split = p_diagonal_split(hm, subspace)
-    rd = split.ritz
-    ds = etas_schur(split)
     m = subspace.dim
-    mu = rd.mu
-    mu_1, mu_m = float(mu[0]), float(mu[-1])
-    z = _scaled_residual(split.h_factor, split.residual, mu)
-    s = singular_values(z)[::-1]
-    ds_moments = DefectSpectrum(etas=s / np.sqrt(1.0 + s * s), route="moments")
-
-    if lambda_ref is None:
-        lambda_ref = _lowest_eigenvalues(split, q + m + 1)
-    if q + m - 1 > len(lambda_ref):
+    if q + m - 1 > (hm.n if lambda_ref is None else len(lambda_ref)):
         raise ValueError(
             f"target index q={q} with cluster size m={m} needs at least "
             f"{q + m - 1} reference eigenvalues"
         )
+    split = p_diagonal_split(hm, subspace)
+    rd = split.ritz
+    ds = etas_schur(split)
+    mu = rd.mu
+    mu_1, mu_m = float(mu[0]), float(mu[-1])
+    ds_moments, dl, ratios = etas_residual(split)
+
+    if lambda_ref is None:
+        lambda_ref = _lowest_eigenvalues(split, q + m + 1)
     lam_q = float(lambda_ref[q - 1])
     lam_qm1 = float(lambda_ref[q - 2]) if q >= 2 else 0.0
     lam_qpm = float(lambda_ref[q + m - 1]) if q + m - 1 < len(lambda_ref) else INF
@@ -429,7 +431,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
         abs_bound = abs_cluster_bounds(split.residual, mu, lam_mp1, kind)
     except HypothesisError:
         abs_bound = None
-    abs_gap = q == 1 and abs_bound is not None
+    abs_gap = bool(q == 1 and abs_bound is not None)
     if math.isinf(lam_mp1):  # no (m+1)-th reference value, no bound to report
         abs_bound = None
 
@@ -456,8 +458,6 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     s_lo, s_hi = sandwich_bounds(ds, g_1 or INF, kind)
     t_lo, t_hi = sandwich_bounds(ds, g_1 or INF, NormKind.TRACE)
     s_hi, t_hi = (_finite_or_none(s_hi), _finite_or_none(t_hi)) if g_1 > 0 else (None, None)
-    ratios = np.einsum("ij,ij->j", z, z)
-    dl = float(s[-1] ** 2)
     r_lo, r_hi = residual_eta_sandwich(ratios, dl)
     tk_lower = tk_rel = None
     if mu_1_below_2:
@@ -586,21 +586,21 @@ def report_to_json(report_or_dict) -> str:
 CSV_COLUMNS = ("index", "theorem", "lower", "upper", "valid")
 
 
+def csv_table(columns, rows) -> str:
+    """CSV with a header line, floats as ``.17g``; no cell needs quoting."""
+    lines = [columns, *rows]
+    return "".join([",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]) + "\n" for row in lines])
+
+
 def report_to_csv(report_or_rows) -> str:
     """Entries table as CSV with a fixed column set."""
-    if isinstance(report_or_rows, BoundReport):
-        rows = [
-            (e.index, e.theorem, e.lower, e.upper, e.valid) for e in report_or_rows.entries
-        ]
-    else:
-        rows = report_or_rows
-    # ints, the THEOREMS tags, .17g floats and true/false need no quoting
-    lines = [",".join(CSV_COLUMNS)] + [
-        f"{index},{theorem},{float(lower):.17g},{float(upper):.17g},"
-        f"{'true' if valid in (True, 'true') else 'false'}"
+    rows = report_or_rows
+    if isinstance(rows, BoundReport):
+        rows = [(e.index, e.theorem, e.lower, e.upper, e.valid) for e in rows.entries]
+    return csv_table(CSV_COLUMNS, [
+        (index, theorem, float(lower), float(upper), "true" if valid in (True, "true") else "false")
         for index, theorem, lower, upper, valid in rows
-    ]
-    return "\n".join(lines) + "\n"
+    ])
 
 
 def csv_to_rows(text: str):

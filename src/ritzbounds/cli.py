@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import build_report, format_report_table, report_to_csv, report_to_json
+from .bounds import build_report, csv_table, format_report_table, report_to_csv, report_to_json
 from .defect import TestSubspace
 from .densela import read_matrix_text, sym_eig, sym_eigvals
 from .errors import (
@@ -75,13 +75,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _csv_table(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _text_table(columns, rows) -> str:
@@ -230,7 +223,7 @@ def _cmd_kappa_demo(args, parser) -> int:
                 rel_error / eta_computed**2,
             )
         )
-    text = _csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
+    text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -256,7 +249,7 @@ def _cmd_schrodinger(args, parser) -> int:
                 f"# fd oracle kappa={kappa:g}: eta2={fd:.10e} "
                 f"|closed form - oracle| = {abs(fd - schrodinger_eta2(kappa)):.3e}"
             )
-    text = _csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
+    text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
     if oracle_lines:
         text += "\n".join(oracle_lines) + "\n"
     _emit(text, args.out)
@@ -269,15 +262,17 @@ def _cmd_fem_periodic(args, parser) -> int:
     for n_mesh in sorted(args.n_list):
         lower, middle, upper = table1_row(n_mesh, alpha=args.alpha)
         rows.append((n_mesh, lower, middle, upper))
-    text = _csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
+    text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
     _emit(text, args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args, parser) -> int:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [tok for tok in args.only.split(",") if tok.strip()]
+        if not names:
+            parser.error(f"--only names no check: {args.only!r}")
     try:
         results = run_checks(names=names, seed=args.seed)
     except KeyError as exc:

@@ -17,12 +17,12 @@ spanned by the orthonormal columns of B, the central objects are
 
 Two routes compute the defects from one sorted Cholesky factor of H, and
 neither forms W: the singular values of the block (``etas_schur``), from
-products with the factor, and the generalized eigenvalues of the inverse-
-moment pencil ``Omega c = eta^2 Psi c`` (``etas_moments``), from solves
-with it; they cross-check.  For Ritz vectors ``Psi = M^-1 + Omega``,
-``M = diag(mu)``, and ``Z^T Z = M^{1/2} Omega M^{1/2}`` for the residual
-block ``H U - U M`` solved by ``_scaled_residual``: the squared defects
-are ``s^2 / (1 + s^2)`` for the singular values s of Z.
+products with the factor, and the eigenvalues of the inverse-moment pencil
+``Omega c = eta^2 Psi c`` (``etas_residual``), from one solve with it; the
+report and ``verify`` cross-check the two.  For Ritz vectors ``Psi = M^-1
++ Omega``, ``M = diag(mu)``, and ``Z^T Z = M^{1/2} Omega M^{1/2}`` for Z,
+the residual block ``H U - U M`` solved by ``_scaled_residual``, so the
+squared defects are ``s^2 / (1 + s^2)`` for the singular values s of Z.
 """
 
 from __future__ import annotations
@@ -312,6 +312,16 @@ def etas_schur(split: SplitOperator) -> DefectSpectrum:
     etas = np.zeros(split.m)
     etas[split.m - len(s) :] = np.sort(s)
     return DefectSpectrum(etas=etas, route="schur_block")
+
+
+def etas_residual(split: SplitOperator):
+    """Moment-route ``(defects, dl, ratios)`` from one solve ``Z = L^-1 P^T R
+    M^{-1/2}``: ``s/sqrt(1 + s^2)`` and ``dl = max s^2`` for Z's singular
+    values s, and the residual quotients ``mu_i Omega_ii``, Z's squared
+    column norms.  ``etas_moments`` and ``dl_measure`` are the pencil form."""
+    z = _scaled_residual(split.h_factor, split.residual, split.mu)
+    s = singular_values(z)[::-1]
+    return DefectSpectrum(s / np.sqrt(1.0 + s * s), "moments"), float(s[-1] ** 2), np.einsum("ij,ij->j", z, z)
 
 
 def moment_matrices(h, rd: RitzData):

@@ -503,6 +503,34 @@ class TestReport:
             build_report(h, Subspace(tilted_basis(rng, eigenspace)), lambda_ref=lambda_ref)
         assert not calls
 
+    @pytest.mark.parametrize(
+        "q, lambda_ref",
+        [(1.5, None), (2.0, None), (np.float64(2.0), None), (True, None), (8, None), (9, None), (1, [1.0])],
+        ids=["half", "float", "float64", "bool", "q8", "q9", "one_reference_value"],
+    )
+    def test_bad_target_index_or_count_is_refused_before_factoring(self, q, lambda_ref, monkeypatch):
+        # diag(1..8) with m = 2: q + m - 1 reference values are needed, and
+        # q must be an integer that is not a bool
+        calls = []
+        factor = defect.sorted_cholesky
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(defect, "sorted_cholesky", counted)
+        basis = np.linalg.qr(np.eye(8)[:, :2] + 1e-3 * np.eye(8)[:, 5:7])[0]
+        with pytest.raises(ValueError, match="q must be an integer|reference eigenvalues"):
+            build_report(np.diag(np.arange(1.0, 9.0)), Subspace(basis), lambda_ref=lambda_ref, q=q)
+        assert not calls
+
+    def test_numpy_integer_target_index_gives_the_same_json(self):
+        basis = np.linalg.qr(np.eye(8)[:, :2] + 1e-3 * np.eye(8)[:, 5:7])[0]
+        h = np.diag(np.arange(1.0, 9.0))
+        report = build_report(h, Subspace(basis), q=np.int64(2))
+        assert report_to_json(report) == report_to_json(build_report(h, Subspace(basis), q=2))
+        assert type(report.q) is int and type(report.flags["abs_gap"]) is bool
+
     def test_rotated_cluster_report_brackets(self, rng):
         h, lam, s, rd, split, ds, g1 = cluster_setup(rng)
         report = build_report(h, s, "frobenius", lambda_ref=lam)
@@ -783,6 +811,27 @@ def test_report_moment_side_matches_the_pencil_form(monkeypatch):
         assert report.aggregates["dl"] == pytest.approx(dl_measure_psi(psi, rd.mu), rel=1e-12, abs=0)
         ratios = rd.mu * np.diag(omega.entries)
         assert report.aggregates["residual_eta_upper"] == pytest.approx(ratios.sum(), rel=1e-12, abs=0)
+
+
+def test_report_reads_the_moment_route_from_one_defect_function(monkeypatch):
+    # build_report takes the moment-route defects, dl and the residual
+    # quotients from one etas_residual call on its own split
+    calls = []
+
+    def spied(split):
+        calls.append(split)
+        return defect.etas_residual(split)
+
+    monkeypatch.setattr(bounds, "etas_residual", spied)
+    rng = np.random.default_rng(21)
+    for n, m in ((12, 2), (20, 4), (9, 1)):
+        h = random_spd(rng, n)
+        report = build_report(h, Subspace(random_subspace(rng, n, m)))
+        assert len(calls) == 1, (n, m)
+        moments, dl, ratios = defect.etas_residual(calls.pop())
+        assert report.aggregates["dl"] == dl
+        assert report.aggregates["residual_eta_upper"] == float(np.sum(ratios))
+        assert report.flags["routes_agree"]
 
 
 def near_lowest_eigenvector():

@@ -378,6 +378,20 @@ class TestVerifyCommand:
             run_cli("verify", "--only", "no.such.check")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("only", [",", "", " , "])
+    def test_only_naming_no_check_is_usage_error(self, only, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_checks", None)
+        with pytest.raises(SystemExit) as err:
+            run_cli("verify", "--only", only)
+        assert err.value.code == 2
+        assert "--only names no check" in capsys.readouterr().err
+
+    def test_repeated_only_name_runs_once(self, capsys):
+        assert run_cli("verify", "--only", "report.determinism,report.determinism") == 0
+        out = capsys.readouterr().out
+        assert out.count("report.determinism:") == 1
+        assert "all 1 properties hold" in out
+
     def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_checks", None)
         with pytest.raises(SystemExit) as err:
