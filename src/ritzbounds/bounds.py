@@ -362,13 +362,13 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     ``q``, an integer >= 1 and not a bool, is the 1-based index of the
     target cluster.  ``lambda_ref`` supplies the reference eigenvalues
     (exact where a model provides them), a 1-d array of finite, positive,
-    nondecreasing values.  A bad ``q`` or ``lambda_ref``, or fewer than
-    ``q+m-1`` reference values (``len(lambda_ref)``, else n), raises
-    ``ValueError`` before H is factored.  Unless supplied, the ``min(n,
-    q+m+1)`` lowest are ``1/eigvalsh`` of the split's inverse Gram, or
-    dqds when they spread beyond ``defect.SPREAD`` or tie, so
-    ``lambda_(q+m)`` and ``lambda_(m+1)`` are ``inf`` exactly when
-    ``q+m-1`` or ``m`` reaches n.  ``g_q`` and ``g_1`` read the split's
+    nondecreasing values.  The report reads ``lambda_k`` for ``k <= q+m``
+    only, as ``[0, lambda_1..lambda_min(n, q+m), inf][k]``: ``inf`` means
+    ``k > n``.  A bad ``q`` or ``lambda_ref``, ``q+m-1 > n``, or fewer than
+    ``min(n, q+m)`` reference values raises ``ValueError`` before H is
+    factored.  Unless supplied, the ``min(n, q+m+1)`` lowest are
+    ``1/eigvalsh`` of the split's inverse Gram, or dqds when they spread
+    beyond ``defect.SPREAD`` or tie.  ``g_q`` and ``g_1`` read the split's
     ``w_values[:q]``, the ``q`` smallest eigenvalues of W; the moment
     route, ``dl`` and the residual quotients are ``defect.etas_residual``.
     Each entry's validity is the conjunction of its flags in ``THEOREMS``.
@@ -393,10 +393,12 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     kind = NormKind.coerce(norm_kind)
     hm = as_symmetric(h)
     m = subspace.dim
-    if q + m - 1 > (hm.n if lambda_ref is None else len(lambda_ref)):
+    need = min(hm.n, q + m)  # the report reads lambda_k for k <= q + m only
+    have = hm.n if lambda_ref is None else len(lambda_ref)
+    if q + m - 1 > hm.n or have < need:
         raise ValueError(
             f"target index q={q} with cluster size m={m} needs at least "
-            f"{q + m - 1} reference eigenvalues"
+            f"{max(need, q + m - 1)} reference eigenvalues of n={hm.n}, got {have}"
         )
     split = p_diagonal_split(hm, subspace)
     rd = split.ritz
@@ -407,16 +409,15 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
 
     if lambda_ref is None:
         lambda_ref = _lowest_eigenvalues(split, q + m + 1)
-    lam_q = float(lambda_ref[q - 1])
-    lam_qm1 = float(lambda_ref[q - 2]) if q >= 2 else 0.0
-    lam_qpm = float(lambda_ref[q + m - 1]) if q + m - 1 < len(lambda_ref) else INF
-    lam_mp1 = float(lambda_ref[m]) if m < len(lambda_ref) else INF
+    # lam[k] is lambda_k for every k read: lambda_0 = 0, and +inf only past n
+    lam = [0.0, *map(float, lambda_ref[:need]), INF]
+    lam_q, lam_qm1, lam_qpm, lam_mp1 = lam[q], lam[q - 1], lam[q + m], lam[m + 1]
 
     # |lambda - w|/w is least at the w next to lambda_q and lambda_1, which
     # by interlacing (w_q >= lambda_q) are among the q smallest
     w_values = split.w_values[:q]
     g_q = relative_gap_gq(w_values, lam_q)
-    g_1 = g_q if q == 1 else relative_gap_gq(w_values, float(lambda_ref[0]))
+    g_1 = g_q if q == 1 else relative_gap_gq(w_values, lam[1])
     gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)
     gaps = GapData(
         q=q,
@@ -432,15 +433,13 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     except HypothesisError:
         abs_bound = None
     abs_gap = bool(q == 1 and abs_bound is not None)
-    if math.isinf(lam_mp1):  # no (m+1)-th reference value, no bound to report
-        abs_bound = None
 
     eta_m = ds.eta_max
     u_1 = np.abs(rd.vectors[:, 0])
     mu_1_rounding = hm.n * np.finfo(float).eps * float(u_1 @ np.abs(hm.entries) @ u_1)
     rel_tol = 1e-8
-    cluster_is_multiple = abs(float(lambda_ref[q + m - 2]) - lam_q) <= rel_tol * abs(lam_q)
-    mu_1_below_2 = len(lambda_ref) > 1 and float(lambda_ref[1]) - mu_1 > mu_1_rounding
+    cluster_is_multiple = abs(lam[q + m - 1] - lam_q) <= rel_tol * abs(lam_q)
+    mu_1_below_2 = lam[2] - mu_1 > mu_1_rounding
     flags = {
         "routes_agree": _routes_agree(ds, ds_moments, hm.n),
         "cluster_multiplicity": bool(
@@ -462,7 +461,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     tk_lower = tk_rel = None
     if mu_1_below_2:
         res = split.residual[:, 0]
-        res_sq, lam_2 = float(res @ res), float(lambda_ref[1])
+        res_sq, lam_2 = float(res @ res), lam[2]
         tk_lower = classical_temple_kato(mu_1, res_sq, lam_2)
         # the relative drop directly: mu minus the lower bound cancels to
         # zero once the drop falls below the rounding of mu

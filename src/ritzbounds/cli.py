@@ -10,8 +10,9 @@ verify        run the named property checks on fixed seeds
 
 Exit codes: 0 success, 1 verification failure or unexpected error,
 2 usage, 3 input file missing, 4 matrix parse error (including a nan or
-inf entry), 5 operator not positive definite, 6 hypothesis failure under
---strict.
+inf entry), 5 operator not positive definite, 6 hypothesis failure
+(bounds --strict with a failing flag, or schrodinger with a kappa outside
+the model's range).
 
 Tables print scientific notation with 4 digits; csv and json carry full
 precision and are byte-stable under parse/re-serialize round trips.
@@ -87,9 +88,14 @@ def _text_table(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _comma_list(text: str):
+    """The tokens of a comma-separated option value, stripped, blank ones dropped."""
+    return [tok for tok in map(str.strip, text.split(",")) if tok]
+
+
 def _parse_float_list(text: str, what: str):
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in _comma_list(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad {what} list: {text!r}") from None
     if not values:
@@ -133,9 +139,7 @@ class _OracleFdAction(argparse.Action):
 
 
 def _parse_mesh_list(text: str):
-    values = [
-        _bounded_int(tok, "mesh count", MESH_MIN, MESH_MAX) for tok in text.split(",") if tok.strip()
-    ]
+    values = [_bounded_int(tok, "mesh count", MESH_MIN, MESH_MAX) for tok in _comma_list(text)]
     if not values:
         raise argparse.ArgumentTypeError("empty mesh list")
     return values
@@ -211,8 +215,10 @@ def _cmd_kappa_demo(args, parser) -> int:
         split = p_diagonal_split(h, TestSubspace(basis))
         eta_computed = etas_schur(split).eta_max
         lam1 = sym_eigvals(h)[0]
-        mu = 1 / 101
-        rel_error = (mu - lam1) / mu
+        # (mu - lambda_1)/mu at mu = 1/101 from the 2x2 secular equation
+        # (mu - lambda)(1 + kappa^2 - lambda) = mu^2, which subtracts
+        # nothing small; dividing by eta twice keeps eta^2 from underflowing
+        rel_error = (1 / 101) / (1.0 + kappa * kappa - lam1)
         rows.append(
             (
                 kappa,
@@ -220,7 +226,7 @@ def _cmd_kappa_demo(args, parser) -> int:
                 ref.eta,
                 eta_computed,
                 rel_error,
-                rel_error / eta_computed**2,
+                rel_error / eta_computed / eta_computed,
             )
         )
     text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
@@ -270,13 +276,13 @@ def _cmd_fem_periodic(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     names = None
     if args.only is not None:
-        names = [tok for tok in args.only.split(",") if tok.strip()]
+        names = _comma_list(args.only)
         if not names:
             parser.error(f"--only names no check: {args.only!r}")
     try:
         results = run_checks(names=names, seed=args.seed)
     except KeyError as exc:
-        parser.error(str(exc))
+        parser.error(exc.args[0])
     for r in results:
         status = "ok  " if r.passed else "FAIL"
         print(f"[{status}] {r.name}: {r.detail}")

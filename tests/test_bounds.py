@@ -505,12 +505,16 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "q, lambda_ref",
-        [(1.5, None), (2.0, None), (np.float64(2.0), None), (True, None), (8, None), (9, None), (1, [1.0])],
-        ids=["half", "float", "float64", "bool", "q8", "q9", "one_reference_value"],
+        [
+            (1.5, None), (2.0, None), (np.float64(2.0), None), (True, None), (8, None), (9, None),
+            (1, [1.0]), (1, [1.0, 2.0]),
+        ],
+        ids=["half", "float", "float64", "bool", "q8", "q9", "one_reference_value", "m_reference_values"],
     )
     def test_bad_target_index_or_count_is_refused_before_factoring(self, q, lambda_ref, monkeypatch):
-        # diag(1..8) with m = 2: q + m - 1 reference values are needed, and
-        # q must be an integer that is not a bool
+        # diag(1..8) with m = 2: the cluster lambda_q..lambda_(q+m-1) must
+        # lie within n, min(n, q + m) reference values are needed, and q
+        # must be an integer that is not a bool
         calls = []
         factor = defect.sorted_cholesky
 
@@ -523,6 +527,37 @@ class TestReport:
         with pytest.raises(ValueError, match="q must be an integer|reference eigenvalues"):
             build_report(np.diag(np.arange(1.0, 9.0)), Subspace(basis), lambda_ref=lambda_ref, q=q)
         assert not calls
+
+    def test_missing_neighbour_is_refused_not_read_as_infinite(self):
+        # diag(1, 1.5, 100) and u close to e_2: mu = 1.4999 has the true error
+        # (mu - 1)/mu = 0.3333, and only lambda_2 = 1.5 shows that the
+        # cluster does not stand alone.  Read as +inf, the unsupplied
+        # lambda_2 would make every relative flag hold around eta = 0.004.
+        h = np.diag([1.0, 1.5, 100.0])
+        u = Subspace(np.array([[0.01], [1.0], [0.0]]) / math.hypot(0.01, 1.0))
+        with pytest.raises(ValueError, match="needs at least 2 reference eigenvalues"):
+            build_report(h, u, lambda_ref=[1.0])
+        report = build_report(h, u, lambda_ref=[1.0, 1.5])
+        truth = (report.mu[0] - 1.0) / report.mu[0]
+        assert truth == pytest.approx(1.0 / 3.0, rel=1e-3)
+        assert not report.flags["eta_vs_gamma"]
+        for e in report.entries:
+            if e.theorem in ("first_order", "cluster_T33"):
+                assert not e.valid, e
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_only_eigenvalues_past_n_are_infinite(self, q):
+        # diag(1..6), m = 2, given exactly the min(n, q + m) values needed
+        n, m = 6, 2
+        lam = np.arange(1.0, n + 1.0)
+        basis = np.linalg.qr(np.eye(n)[:, q - 1:q + 1] + 1e-3 * np.eye(n)[:, [(q + 2) % n, (q + 3) % n]])[0]
+        report = build_report(np.diag(lam), Subspace(basis), lambda_ref=lam[: min(n, q + m)], q=q)
+        assert report.gaps.lambda_qm1 == q - 1.0
+        assert report.gaps.lambda_qpm == (q + m if q + m <= n else math.inf)
+        assert report.lambda_ref == tuple(lam[: min(n, q + m)])
+        if q == 1:
+            assert report.aggregates["abs_cluster"] is not None
+            assert report.aggregates["g1_cor35"] == pytest.approx((3.0 - report.mu[-1]) / (3.0 + report.mu[-1]))
 
     def test_numpy_integer_target_index_gives_the_same_json(self):
         basis = np.linalg.qr(np.eye(8)[:, :2] + 1e-3 * np.eye(8)[:, 5:7])[0]
@@ -612,11 +647,11 @@ def theorem_table_cases():
     assert report.q == 2
     yield "q=2", report
 
-    # m = n - 1 with m reference values: lambda_(m+1) is unknown, so +inf
+    # m = n - 1: lambda_(m+1) = lambda_n still exists
     h = random_spd(rng, 5)
     lam = sym_eig(h)[0]
-    report = build_report(h, Subspace(random_subspace(rng, 5, 4)), "trace", lambda_ref=lam[:4])
-    assert report.aggregates["abs_cluster"] is None
+    report = build_report(h, Subspace(random_subspace(rng, 5, 4)), "trace", lambda_ref=lam)
+    assert report.gaps.lambda_qpm == lam[4]
     yield "m=n-1", report
 
     # a Ritz value of 2.5 above lambda_2 = 2
@@ -628,6 +663,12 @@ def theorem_table_cases():
 
     h, lam, eigenspace = clustered_spd(rng, 9, 2)
     yield "tilt 0", build_report(h, Subspace(eigenspace), "frobenius", lambda_ref=lam)
+
+    # q + m > n: lambda_(q+m) lies past n, so it is +inf
+    h = random_spd(rng, 5)
+    report = build_report(h, Subspace(random_subspace(rng, 5, 4)), "trace", lambda_ref=sym_eig(h)[0], q=2)
+    assert math.isinf(report.gaps.lambda_qpm)
+    yield "q+m>n", report
 
 
 def test_theorem_table_matches_the_paper():

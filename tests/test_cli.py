@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -204,6 +205,27 @@ class TestBoundsCommand:
 
         assert report_to_csv(csv_to_rows(text)) == text
 
+    def test_table_lists_flags_entries_and_missing_values(self, kappa_files, capsys):
+        # q = 3 = n with m = 1: lambda_(q+m) lies past n, so it is inf
+        matrix, subspace = kappa_files
+        argv = ("bounds", "--matrix", str(matrix), "--subspace", str(subspace), "--q", "3")
+        assert run_cli(*argv, "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert run_cli(*argv, "--format", "table") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "lambda_(q+m)=inf" in lines[lines.index("gap data:") + 1].split()
+        for name, ok in report["flags"].items():
+            assert f"  {name:<22s} {'ok' if ok else 'FAILED'}" in lines, name
+        missing = [key for key, value in report["aggregates"].items() if value is None]
+        assert missing
+        for key in missing:
+            assert f"  {key:<22s} -" in lines, key
+        rows = lines[lines.index("  i    theorem        lower         upper        valid") + 1:]
+        assert [row.split() for row in rows] == [
+            [str(e["index"]), e["theorem"], f"{e['lower']:.4e}", f"{e['upper']:.4e}", "ok" if e["valid"] else "FAILED"]
+            for e in report["entries"]
+        ]
+
     def test_deterministic_output(self, kappa_files, capsys):
         matrix, subspace = kappa_files
         run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace),
@@ -224,6 +246,25 @@ class TestModelCommands:
         assert float(values["res_norm"]) == pytest.approx(1 / 101)
         assert float(values["eta"]) == pytest.approx(float(values["eta_computed"]), rel=1e-12)
         assert float(values["ratio"]) == pytest.approx(1.0, abs=1e-3)
+
+    def test_kappa_demo_error_columns_match_mpmath(self, capsys):
+        # (mu - lambda_1)/mu at mu = 1/101 from the larger root of the 2x2
+        # block [[a, -a], [-a, c]], a = 1/101, c = 1 + kappa^2, which
+        # subtracts nothing small: with x = (c - a)/2 and s = sqrt(x^2 +
+        # a^2), lambda_2 = (a + c)/2 + s and the drop is (a + a^2/(s + x))/lambda_2
+        kappas = (10.0, 1e3, 1e5, 1e7, 1e9, 1e150)
+        assert run_cli("kappa-demo", "--kappas", ",".join(map(repr, kappas)), "--format", "csv") == 0
+        lines = capsys.readouterr().out.splitlines()
+        with mpmath.workdps(60):
+            for kappa, line in zip(kappas, lines[1:], strict=True):
+                row = dict(zip(lines[0].split(","), map(float, line.split(","))))
+                a, c = mpmath.mpf(1) / 101, 1 + mpmath.mpf(kappa) ** 2
+                x = (c - a) / 2
+                s = mpmath.sqrt(x**2 + a**2)
+                rel_error = (a + a**2 / (s + x)) / ((a + c) / 2 + s)
+                ratio = rel_error * 101 * c  # eta^2 = (1/101)/(1 + kappa^2)
+                assert abs(row["rel_error"] / rel_error - 1) <= 1e-13, (kappa, row)
+                assert abs(row["ratio"] / ratio - 1) <= 1e-13, (kappa, row)
 
     def test_schrodinger_csv_with_oracle(self, capsys):
         code = run_cli(
@@ -373,10 +414,21 @@ class TestVerifyCommand:
         assert "[ok  ] densela.unitary_invariance" in out
         assert "all 2 properties hold" in out
 
-    def test_unknown_check_is_usage_error(self):
+    def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli("verify", "--only", "no.such.check")
         assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(": error: unknown check 'no.such.check'")
+
+    def test_spaces_around_only_names_are_stripped(self, capsys):
+        assert run_cli("verify", "--only", "report.determinism, report.round_trip ") == 0
+        assert "all 2 properties hold" in capsys.readouterr().out
+
+    def test_spaces_around_list_values_are_stripped(self, capsys):
+        assert run_cli("fem-periodic", "--n-list", " 16, 24 ,", "--format", "csv") == 0
+        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["16", "24"]
+        assert run_cli("kappa-demo", "--kappas", "10, 100,", "--format", "csv") == 0
+        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["10", "100"]
 
     @pytest.mark.parametrize("only", [",", "", " , "])
     def test_only_naming_no_check_is_usage_error(self, only, monkeypatch, capsys):
