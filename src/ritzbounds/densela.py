@@ -70,9 +70,10 @@ class SymmetricMatrix:
     """Immutable dense real symmetric matrix.
 
     The constructor admits finite input whose asymmetry is at most 1e-12
-    relative to the largest entry and symmetrizes it by averaging; anything
-    worse is rejected.  The stored array is read-only, so instances are
-    safe to share between threads.
+    relative to the largest entry and symmetrizes it by averaging, as
+    ``0.5 A + 0.5 A^T`` so that no sum overflows; anything worse is
+    rejected.  The stored array is read-only, so instances are safe to
+    share between threads.
     """
 
     entries: np.ndarray
@@ -91,7 +92,7 @@ class SymmetricMatrix:
                     f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
                     f"exceeds {_SYMMETRY_RTOL:.0e} * max|A| = {_SYMMETRY_RTOL * scale:.3e}"
                 )
-            a = 0.5 * (a + a.T)
+            a = 0.5 * a + 0.5 * a.T
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

@@ -81,12 +81,13 @@ def hkappa_reference(kappa: float) -> KappaReference:
     has the single entry ``(-1/101) / sqrt((1/101)(1 + kappa^2))``.  It is
     consistent with the exact expansion of the relative eigenvalue error,
     ``(mu - lambda_1)/mu = 1/(101 kappa^2) + O(kappa^-4)``, whose quotient
-    with eta^2 tends to one.
+    with eta^2 tends to one.  eta is evaluated as ``1/(sqrt(101) hypot(1,
+    kappa))``, which does not overflow where ``1 + kappa^2`` is finite.
     """
     _check_kappa(kappa)
     return KappaReference(
         res_norm=1 / 101,
-        eta=1.0 / math.sqrt(101.0 * (1.0 + kappa * kappa)),
+        eta=1.0 / (math.sqrt(101.0) * math.hypot(1.0, kappa)),
     )
 
 

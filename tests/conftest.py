@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ritzbounds.defect import TestSubspace
+
 
 def haar_orthogonal(rng, n):
     """Haar-distributed orthogonal matrix via QR with sign fixing."""
@@ -39,6 +41,24 @@ def tilted_basis(rng, basis, amount=0.05):
     n, m = basis.shape
     q, _ = np.linalg.qr(basis + amount * rng.standard_normal((n, m)))
     return q
+
+
+def kappa_matrix(k):
+    """The 3x3 kappa family as an array."""
+    return np.array(
+        [
+            [1 / 101, 0.0, -1 / 101],
+            [0.0, 1 / 100, 0.0],
+            [-1 / 101, 0.0, 1 + k**2],
+        ]
+    )
+
+
+def span_e1(n=3):
+    """The first coordinate vector of R^n as a test subspace."""
+    basis = np.zeros((n, 1))
+    basis[0, 0] = 1.0
+    return TestSubspace(basis)
 
 
 @pytest.fixture

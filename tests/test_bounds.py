@@ -3,7 +3,6 @@ import functools
 import json
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -47,23 +46,16 @@ from ritzbounds.defect import (
 from ritzbounds.densela import NormKind, sym_eig, sym_eigvals, ui_norm
 from ritzbounds.errors import HypothesisError, SingularOperatorError
 
-from conftest import clustered_spd, haar_orthogonal, random_spd, random_subspace, tilted_basis
-
-
-def kappa_matrix(k):
-    return np.array(
-        [
-            [1 / 101, 0.0, -1 / 101],
-            [0.0, 1 / 100, 0.0],
-            [-1 / 101, 0.0, 1 + k**2],
-        ]
-    )
-
-
-def span_e1(n=3):
-    basis = np.zeros((n, 1))
-    basis[0, 0] = 1.0
-    return Subspace(basis)
+import mp_oracle
+from conftest import (
+    clustered_spd,
+    haar_orthogonal,
+    kappa_matrix,
+    random_spd,
+    random_subspace,
+    span_e1,
+    tilted_basis,
+)
 
 
 def cluster_setup(rng, n=10, m=2, tilt=0.08):
@@ -607,7 +599,7 @@ class TestReport:
         # np.float64 passes isinstance(x, float), so the type is compared
         reports = [build_report(*converged_case(rng, 24, m, 1e-4)[::2]) for m in (1, 2, 4)]
         for k in (0, 3, 4):
-            h, basis, _ = graded_24_decades(k, *GRADED_24[k], (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5])
+            h, basis, _ = graded_24_decades(k)
             reports.append(build_report(h, Subspace(basis)))
         assert any(r.aggregates["abs_cluster"] is not None for r in reports)
         for r in reports:
@@ -720,10 +712,7 @@ def test_converged_subspace_report_contains_true_error(n, m, log_tilt, seed):
 
     b2 = basis[perm[m:]]
     drop = scipy.linalg.eigh(b2.T @ ((rest - c)[:, None] * b2), basis.T @ basis, eigvals_only=True)
-    truth = drop / (c + drop)
-    for e in report.entries:
-        if e.valid:
-            assert e.lower <= truth[e.index - 1] <= e.upper, e
+    mp_oracle.valid_entries_contain(report, drop / (c + drop))
 
 
 def converged_case(rng, n, m, tilt):
@@ -788,28 +777,6 @@ def test_tk_gap_needs_a_margin_above_the_rounding_of_mu_1():
     assert report.flags["tk_gap"]
 
 
-def dl_mp(h, basis, dps=60):
-    """``dl`` of the exact Ritz data of the stored basis B and H, in
-    mpmath: Ritz values mu and vectors U from the pencil ``(B^T H B, B^T
-    B)``, the residuals ``R = H U - U M`` and ``dl = ||M^{1/2} Omega
-    M^{1/2}||_2 = ||M^{-1/2} R^T H^-1 R M^{-1/2}||_2``."""
-    m = basis.shape[1]
-    with mpmath.workdps(dps):
-        hm = mpmath.matrix(h.tolist())
-        b = mpmath.matrix(basis.tolist())
-        hb = hm * b
-        inv = mpmath.cholesky(b.T * b) ** -1
-        mu, y = mpmath.eigsy(inv * (b.T * hb) * inv.T)
-        t = inv.T * y
-        r = hb * t - b * t * mpmath.diag(mu)
-        h_inv_r = [mpmath.lu_solve(hm, r[:, j]) for j in range(m)]
-        scaled = mpmath.matrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                scaled[i, j] = (r[:, i].T * h_inv_r[j])[0] / mpmath.sqrt(mu[i] * mu[j])
-        return float(max(mpmath.eigsy(scaled, eigvals_only=True)))
-
-
 DL_TILTS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
 
@@ -821,7 +788,7 @@ def test_dl_matches_mpmath_on_converged_subspaces(tilt):
     rng = np.random.default_rng(DL_TILTS.index(tilt))
     for n, m in ((24, 2), (36, 4)):
         h, lam, s = converged_case(rng, n, m, tilt)
-        exact = dl_mp(h, s.basis)
+        exact = mp_oracle.dl(h, s.basis, 60)
         dl = build_report(h, s, lambda_ref=lam).aggregates["dl"]
         assert dl == pytest.approx(exact, rel=1e-6 if tilt >= 1e-10 else 1e-4, abs=0), (n, m)
 
@@ -894,57 +861,43 @@ def test_classical_bounds_are_valid_only_for_the_lowest_target():
     for target in (1, 2):
         report = build_report(h, s, lambda_ref=lam, q=target)
         assert report.flags["tk_gap"] == report.flags["abs_gap"] == (target == 1), target
-        truth = (report.mu[0] - lam[target - 1]) / report.mu[0]
         classical = [e for e in report.entries if e.theorem in ("classical_TK", "abs_cluster")]
         assert len(classical) == 2, target
-        for e in report.entries:
-            if e.valid:
-                assert e.lower <= truth <= e.upper, (target, e)
+        mp_oracle.valid_entries_contain(report, [(report.mu[0] - lam[target - 1]) / report.mu[0]])
+
+
+GRADED_24 = [(n, m) for n in (16, 24, 32) for m in (1, 2, 4)] * 2
 
 
 @functools.lru_cache(maxsize=None)
-def graded_24_decades(seed, n, m, tilt):
-    """``D A D`` with cond(A) <= 10, unit diag(A) and D = 2^-k for k in
-    [0, 40], so H is formed exactly and spans 24 decades; the basis tilts
-    the m lowest eigenvectors by an energy-scaled perturbation of size
-    ``tilt``.  Returns H, the basis and, from mpmath, the relative errors
-    ``(mu_i - lambda_i)/mu_i`` of the exact Ritz values of the basis.
-    Cached: several tests read the same cases, and none writes to them."""
-    rng = np.random.default_rng(seed)
+def graded_24_decades(k):
+    """Case k: ``D A D`` of order n = ``GRADED_24[k][0]`` with cond(A) <=
+    10, unit diag(A) and D = 2^-j for j in [0, 40], so H is formed exactly
+    and spans 24 decades; the basis tilts the m lowest eigenvectors by an
+    energy-scaled perturbation of size 1e-2..1e-6 (by k mod 5).  Returns
+    H, the basis and, from the oracle, the relative errors ``(mu_i -
+    lambda_i)/mu_i`` of the exact Ritz values of the basis.  Cached:
+    several tests read the same cases, and none writes to them."""
+    n, m = GRADED_24[k]
+    rng = np.random.default_rng(k)
     q = haar_orthogonal(rng, n)
     a = (q * 10.0 ** rng.uniform(0.0, 1.0, n)) @ q.T
     s = 1.0 / np.sqrt(np.diag(a))
     a = s[:, None] * a * s[None, :]
     d = 2.0 ** -rng.permutation(np.round(np.linspace(0.0, 40.0, n)))
     h = d[:, None] * (0.5 * (a + a.T)) * d[None, :]
-    with mpmath.workdps(60):
-        values, vectors = mpmath.eigsy(mpmath.matrix(h.tolist()))
-        order = sorted(range(n), key=lambda i: values[i])
-        lam = np.array([float(values[i]) for i in order])
-        vec = np.array(vectors.tolist(), dtype=float)[:, order]
-        c = rng.standard_normal((n - m, m))
-        c /= np.linalg.norm(c, axis=0)
-        basis, _ = np.linalg.qr(vec[:, :m] + tilt * vec[:, m:] @ (c * np.sqrt(lam[:m] / lam[m:, None])))
-        b = mpmath.matrix(basis.tolist())
-        inv = mpmath.cholesky(b.T * b) ** -1
-        mu = sorted(mpmath.eigsy(inv * (b.T * mpmath.matrix(h.tolist()) * b) * inv.T, eigvals_only=True))
-        truth = [float((x - values[i]) / x) for x, i in zip(mu, order)]
+    c = rng.standard_normal((n - m, m))
+    c /= np.linalg.norm(c, axis=0)
+    basis, truth = mp_oracle.tilted_eigenbasis(h, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5], c, 60)
     return h, basis, truth
-
-
-GRADED_24 = [(n, m) for n in (16, 24, 32) for m in (1, 2, 4)] * 2
 
 
 @pytest.mark.parametrize("k", range(len(GRADED_24)))
 def test_report_on_24_decade_grading_contains_true_error(k):
-    n, m = GRADED_24[k]
-    tilt = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5]
-    h, basis, truth = graded_24_decades(k, n, m, tilt)
+    h, basis, truth = graded_24_decades(k)
     report = build_report(h, Subspace(basis))
     assert report.flags["routes_agree"]
-    for e in report.entries:
-        if e.valid:
-            assert e.lower <= truth[e.index - 1] <= e.upper, e
+    mp_oracle.valid_entries_contain(report, truth)
 
 
 def test_one_factorization_of_h_per_report(monkeypatch):
@@ -1000,11 +953,6 @@ def test_report_takes_no_singular_vectors_beyond_m_and_no_gen_sym_eig(monkeypatc
         assert shapes and all(max(shape) <= m for shape in shapes), (n, m, shapes)
 
 
-def mp_spectrum(h, dps=40):
-    with mpmath.workdps(dps):
-        return np.array(sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)))
-
-
 def test_m_fold_lowest_eigenvalue_keeps_every_copy():
     # the inverse Gram's eigenvalues hold every copy of an m-fold lowest
     # eigenvalue; the copies tie within that route's error bound, so the
@@ -1012,7 +960,7 @@ def test_m_fold_lowest_eigenvalue_keeps_every_copy():
     rng = np.random.default_rng(11)
     n, m = 24, 3
     h, _, eigenspace = clustered_spd(rng, n, m, spread=4.0)
-    exact = mp_spectrum(h)
+    exact = mp_oracle.spectrum(h, 40)
     report = build_report(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)))
     split = p_diagonal_split(h, Subspace(tilted_basis(rng, eigenspace, 1e-3)))
     fast = 1.0 / np.linalg.eigvalsh(split.inv_gram)[::-1][: m + 2]
@@ -1046,7 +994,7 @@ def test_spread_spectrum_takes_dqds():
     d = np.logspace(0.0, -6.0, n)
     h = d[:, None] * ((q * np.logspace(0.0, 1.0, n)) @ q.T) * d[None, :]
     h = 0.5 * (h + h.T)
-    exact = mp_spectrum(h, dps=60)
+    exact = mp_oracle.spectrum(h, 60)
     report = build_report(h, Subspace(random_subspace(rng, n, m)))
     assert report.lambda_ref[-1] > defect.SPREAD * report.lambda_ref[0]
     assert np.array_equal(report.lambda_ref, sym_eigvals(h)[: m + 2])
@@ -1106,11 +1054,8 @@ def test_q1_report_reads_w_1_from_a_one_value_bracket(monkeypatch):
     assert len(p_diagonal_split(h, span_e1()).w_values) == len(h) - 1
     report = build_report(h, span_e1())
     assert shapes and (3, 2) not in shapes, shapes
-    with mpmath.workdps(50):
-        hm = mpmath.matrix(h.tolist())
-        lam_1 = min(mpmath.eigsy(hm, eigvals_only=True))
-        w_1 = min(mpmath.eigsy(hm[1:, 1:], eigvals_only=True))
-        exact = float((w_1 - lam_1) / w_1)
+    # w_1 is the lowest Ritz value of the complement span(e_2, e_3)
+    exact = mp_oracle.ritz_errors(h, np.eye(3)[:, 1:], 50)[0]
     assert report.aggregates["g_1"] == pytest.approx(exact, rel=2e-14)
 
 
@@ -1165,34 +1110,6 @@ def test_tie_reports_complete_the_subspace_once(monkeypatch, rng):
     assert len(calls) == 1, calls
 
 
-def mp_bases(h, basis):
-    """H in mpmath, at the caller's precision, with orthonormal bases B and
-    V of the span of ``basis`` and of its orthogonal complement."""
-    hm = mpmath.matrix(h.tolist())
-    b = mpmath.matrix(basis.tolist())
-    b = b * (mpmath.cholesky(b.T * b) ** -1).T
-    v = mpmath.matrix(scipy.linalg.null_space(basis.T).tolist())
-    v = v - b * (b.T * v)
-    return hm, b, v * (mpmath.cholesky(v.T * v) ** -1).T
-
-
-def exactness_correction_mp(h, basis, lam, dps=50):
-    """``exactness_ratio - 1`` in mpmath for the exact H, subspace and
-    ``lam``: ``lam tr(A^-1 C^T W^-1 (W - lam)^-1 C) / tr(A^-1 C^T W^-1 C)``
-    with ``A = B^T H B``, ``C = V^T H B``, ``W = V^T H V`` for orthonormal
-    B and V spanning the subspace and its complement, which is the ratio's
-    quotient of traces over ``K_s`` in any bases."""
-    m = basis.shape[1]
-    with mpmath.workdps(dps):
-        hm, b, v = mp_bases(h, basis)
-        w, c = v.T * hm * v, v.T * hm * b
-        a_inv = (b.T * hm * b) ** -1
-        w_inv_c = w**-1 * c
-        shifted = (w - lam * mpmath.eye(w.rows)) ** -1 * w_inv_c
-        num, den = a_inv * c.T * shifted, a_inv * c.T * w_inv_c
-        return float(lam * sum(num[i, i] for i in range(m)) / sum(den[i, i] for i in range(m)))
-
-
 @pytest.mark.parametrize("k", [0, 1, 6, 7, 12])
 def test_exactness_correction_on_24_decade_grading_matches_mpmath(k):
     # five of the nine cases with tilt 1e-2..1e-4 and ratio - 1 above
@@ -1200,12 +1117,10 @@ def test_exactness_correction_on_24_decade_grading_matches_mpmath(k):
     # move the ratio by about eps / eta, far below 1e-10; at tilt 1e-6
     # that floor is a few 1e-10, and below 1e-7 the rounding of 1 + x
     # dominates
-    n, m = GRADED_24[k]
-    tilt = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5]
-    h, basis, _ = graded_24_decades(k, n, m, tilt)
+    h, basis, _ = graded_24_decades(k)
     split = p_diagonal_split(h, Subspace(basis))
     lam = float(sym_eig(h)[0][0])
-    exact = exactness_correction_mp(h, basis, lam)
+    exact = mp_oracle.exactness_correction(h, basis, lam, 50)
     assert exactness_ratio(split, lam) - 1.0 == pytest.approx(exact, rel=1e-10)
 
 
@@ -1214,11 +1129,7 @@ def test_complement_values_on_24_decade_grading_match_mpmath(k):
     # a report reads w_1..w_q as the split's w_values, up to SPREAD w_1 and
     # beyond, where eigvalsh's a-priori error n eps w_k/w_1 is far above
     # the error it attains on these cases
-    n, m = GRADED_24[k]
-    tilt = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5]
-    h, basis, _ = graded_24_decades(k, n, m, tilt)
+    h, basis, _ = graded_24_decades(k)
     w = p_diagonal_split(h, Subspace(basis)).w_values[:4]
-    with mpmath.workdps(60):
-        hm, _, v = mp_bases(h, basis)
-        exact = np.array(sorted(mpmath.eigsy(v.T * hm * v, eigvals_only=True))[:4], dtype=float)
+    exact = mp_oracle.complement_values(h, basis, 60)[:4]
     assert np.max(np.abs(w - exact) / exact) <= 1e-11

@@ -4,9 +4,9 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +16,7 @@ from ritzbounds.bounds import csv_to_rows
 from ritzbounds.densela import write_matrix_text
 from ritzbounds.models import hkappa_matrix, hkappa_reference
 
+import mp_oracle
 from conftest import haar_orthogonal
 
 
@@ -249,22 +250,22 @@ class TestModelCommands:
 
     def test_kappa_demo_error_columns_match_mpmath(self, capsys):
         # (mu - lambda_1)/mu at mu = 1/101 from the larger root of the 2x2
-        # block [[a, -a], [-a, c]], a = 1/101, c = 1 + kappa^2, which
-        # subtracts nothing small: with x = (c - a)/2 and s = sqrt(x^2 +
-        # a^2), lambda_2 = (a + c)/2 + s and the drop is (a + a^2/(s + x))/lambda_2
-        kappas = (10.0, 1e3, 1e5, 1e7, 1e9, 1e150)
-        assert run_cli("kappa-demo", "--kappas", ",".join(map(repr, kappas)), "--format", "csv") == 0
+        # block, which the oracle evaluates without subtracting small terms.
+        # At kappa = 1.3e154, 1 + kappa^2 is finite but 101 (1 + kappa^2) and
+        # kappa^2 + kappa^2 are not; rel_error is subnormal, so only eta is pinned
+        kappas = (10.0, 1e3, 1e5, 1e7, 1e9, 1e150, 1.3e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("kappa-demo", "--kappas", ",".join(map(repr, kappas)), "--format", "csv") == 0
         lines = capsys.readouterr().out.splitlines()
-        with mpmath.workdps(60):
-            for kappa, line in zip(kappas, lines[1:], strict=True):
-                row = dict(zip(lines[0].split(","), map(float, line.split(","))))
-                a, c = mpmath.mpf(1) / 101, 1 + mpmath.mpf(kappa) ** 2
-                x = (c - a) / 2
-                s = mpmath.sqrt(x**2 + a**2)
-                rel_error = (a + a**2 / (s + x)) / ((a + c) / 2 + s)
-                ratio = rel_error * 101 * c  # eta^2 = (1/101)/(1 + kappa^2)
-                assert abs(row["rel_error"] / rel_error - 1) <= 1e-13, (kappa, row)
-                assert abs(row["ratio"] / ratio - 1) <= 1e-13, (kappa, row)
+        for kappa, line in zip(kappas, lines[1:], strict=True):
+            row = dict(zip(lines[0].split(","), map(float, line.split(","))))
+            exact = mp_oracle.kappa_family(kappa, 60)
+            assert abs(row["eta"] / exact.eta - 1) <= 1e-13, (kappa, row)
+            assert abs(row["eta_computed"] / exact.eta - 1) <= 1e-13, (kappa, row)
+            if kappa < 1e154:
+                assert abs(row["rel_error"] / exact.rel_error - 1) <= 1e-13, (kappa, row)
+                assert abs(row["ratio"] / exact.ratio - 1) <= 1e-13, (kappa, row)
 
     def test_schrodinger_csv_with_oracle(self, capsys):
         code = run_cli(

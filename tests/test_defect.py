@@ -21,29 +21,8 @@ from ritzbounds.densela import as_symmetric, sym_eig
 from ritzbounds.defect import TestSubspace as Subspace
 from ritzbounds.errors import NotPositiveDefiniteError, SingularOperatorError
 
-from conftest import haar_orthogonal, random_spd, random_subspace
-
-
-def kappa_matrix(k):
-    return np.array(
-        [
-            [1 / 101, 0.0, -1 / 101],
-            [0.0, 1 / 100, 0.0],
-            [-1 / 101, 0.0, 1 + k**2],
-        ]
-    )
-
-
-def kappa_eta(k):
-    # defect of the first coordinate vector for the kappa family; verified
-    # against the moment route, the block route, and the exact error ratio
-    return 1.0 / np.sqrt(101.0 * (1.0 + k**2))
-
-
-def span_e1(n=3):
-    basis = np.zeros((n, 1))
-    basis[0, 0] = 1.0
-    return Subspace(basis)
+import mp_oracle
+from conftest import haar_orthogonal, kappa_matrix, random_spd, random_subspace, span_e1
 
 
 def rotated_double_eigenvalue_problem(rng, diag=(1.0, 1.0, 5.0), tilt=0.15):
@@ -142,7 +121,7 @@ class TestPDiagonalSplit:
         for k in (10.0, 100.0, 1000.0):
             split = p_diagonal_split(kappa_matrix(k), span_e1())
             s = np.linalg.norm(split.k_s)
-            assert s == pytest.approx(kappa_eta(k), rel=1e-13)
+            assert s == pytest.approx(mp_oracle.kappa_family(k, 60).eta, rel=1e-13)
 
     def test_matches_dense_complement_eigendecomposition(self, rng):
         # the split never forms W = V^T H V; here it is formed and
@@ -197,7 +176,7 @@ class TestEtasSchur:
     def test_kappa_family_value(self):
         split = p_diagonal_split(kappa_matrix(10.0), span_e1())
         ds = etas_schur(split)
-        assert ds.etas[0] == pytest.approx(kappa_eta(10.0), rel=1e-13)
+        assert ds.etas[0] == pytest.approx(mp_oracle.kappa_family(10.0, 60).eta, rel=1e-13)
 
     def test_pads_with_zeros_when_rank_deficient(self, rng):
         # m = 3 but the coupling has rank <= 2 because H has a 1-dim

@@ -1,6 +1,5 @@
 import io
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,17 +32,8 @@ from ritzbounds.errors import (
     NotSymmetricError,
 )
 
-from conftest import haar_orthogonal, random_spd
-
-
-def kappa_matrix(k):
-    return np.array(
-        [
-            [1 / 101, 0.0, -1 / 101],
-            [0.0, 1 / 100, 0.0],
-            [-1 / 101, 0.0, 1 + k**2],
-        ]
-    )
+import mp_oracle
+from conftest import haar_orthogonal, kappa_matrix, random_spd
 
 
 class TestSymmetricMatrix:
@@ -291,11 +281,6 @@ def graded_spd(rng, d, cond=1e3):
     return 0.5 * (h + h.T)
 
 
-def mp_eigvalsh(a):
-    """Ascending eigenvalues of an mpmath matrix."""
-    return np.array(sorted(float(x) for x in mpmath.eigsy(a, eigvals_only=True)))
-
-
 #: ``mpmath.eigsy`` is accurate to its precision relative to the largest
 #: eigenvalue; 110 digits leave 50 correct digits in the smallest one when
 #: the spectrum spans up to 60 decades.
@@ -310,8 +295,7 @@ class TestRelativeAccuracy:
     def test_sym_eig_values(self, seed):
         rng = np.random.default_rng(seed)
         h = graded_spd(rng, grading(rng, int(rng.integers(10, 31))))
-        with mpmath.workdps(ORACLE_DPS):
-            exact = mp_eigvalsh(mpmath.matrix(h.tolist()))
+        exact = mp_oracle.spectrum(h, ORACLE_DPS)
         w, _ = sym_eig(h)
         assert np.max(np.abs(w - exact) / exact) <= 1e-12
 
@@ -321,10 +305,7 @@ class TestRelativeAccuracy:
         # when the diagonal is sorted to decrease before factoring
         rng = np.random.default_rng(seed)
         h = graded_spd(rng, grading(rng, 20))
-        with mpmath.workdps(ORACLE_DPS):
-            values, vectors = mpmath.eigsy(mpmath.matrix(h.tolist()))
-            order = sorted(range(20), key=lambda i: values[i])
-            exact = np.array(vectors.tolist(), dtype=float)[:, order]
+        _, exact = mp_oracle.spectrum(h, ORACLE_DPS, vectors=True)
         _, v = sym_eig(h)
         v = v * np.sign(np.sum(v * exact, axis=0))
         assert np.max(np.abs(v - exact)) <= 1e-12
@@ -335,10 +316,7 @@ class TestRelativeAccuracy:
         d = grading(rng, int(rng.integers(10, 31)))
         a = graded_spd(rng, d)
         b = graded_spd(rng, d)
-        with mpmath.workdps(ORACLE_DPS):
-            inv = mpmath.cholesky(mpmath.matrix(b.tolist())) ** -1
-            c = inv * mpmath.matrix(a.tolist()) * inv.T
-            exact = mp_eigvalsh((c + c.T) / 2)
+        exact = mp_oracle.pencil_values(a, b, ORACLE_DPS)
         w, _ = gen_sym_eig(a, b)
         assert np.max(np.abs(w - exact) / exact) <= 1e-12
 
@@ -347,9 +325,7 @@ class TestRelativeAccuracy:
         rng = np.random.default_rng(seed)
         d = grading(rng, int(rng.integers(10, 31)))
         g = rng.standard_normal((len(d) + 3, len(d))) * d[None, :]
-        with mpmath.workdps(ORACLE_DPS):
-            m = mpmath.matrix(g.tolist())
-            exact = np.sqrt(mp_eigvalsh(m.T * m))[::-1]
+        exact = mp_oracle.singular_values(g, ORACLE_DPS)
         s = singular_values(g)
         assert np.max(np.abs(s - exact) / exact) <= 1e-12
 
@@ -392,23 +368,6 @@ def graded_upper(k):
     return sorted_cholesky(graded_spd(rng, d))[1].T.copy()
 
 
-def mp_solve_upper(r, b):
-    """Back substitution for the columns of b in 40-digit arithmetic."""
-    k = len(r)
-    with mpmath.workdps(40):
-        rm = mpmath.matrix(r.tolist())
-        out = np.empty(b.shape)
-        for j in range(b.shape[1]):
-            x = [mpmath.mpf(0)] * k
-            for i in reversed(range(k)):
-                acc = mpmath.mpf(float(b[i, j]))
-                for col in range(i + 1, k):
-                    acc -= rm[i, col] * x[col]
-                x[i] = acc / rm[i, i]
-            out[:, j] = [float(v) for v in x]
-    return out
-
-
 def assert_within(err, bound):
     """Componentwise ``err <= bound``; where the bound is 0, err must be too."""
     assert np.all(err <= bound), np.max(err / np.where(bound > 0, bound, 1.0))
@@ -433,7 +392,7 @@ class TestTriangularKernels:
         forward = np.abs(x) @ np.abs(r) @ np.abs(x)
         assert_within(np.abs(x - solve_lower_t(r.T, np.eye(k))), 2 * k * eps * forward)
         cols = sorted({0, k // 2, k - 1})
-        exact = mp_solve_upper(r, np.eye(k)[:, cols])
+        exact = mp_oracle.solve_upper(r, np.eye(k)[:, cols], 40)
         assert_within(np.abs(x[:, cols] - exact), k * eps * forward[:, cols])
 
     @pytest.mark.parametrize("k", TRIANGULAR_ORDERS)
@@ -445,6 +404,6 @@ class TestTriangularKernels:
         assert_within(np.abs(r @ z - b), k * eps * (np.abs(r) @ np.abs(z)))
         forward = np.abs(_inv_upper(r)) @ np.abs(r) @ np.abs(z)
         assert_within(np.abs(z - solve_lower_t(r.T, b)), 2 * k * eps * forward)
-        assert_within(np.abs(z - mp_solve_upper(r, b)), k * eps * forward)
+        assert_within(np.abs(z - mp_oracle.solve_upper(r, b, 40)), k * eps * forward)
         # one right-hand side as a vector
         assert_within(np.abs(_solve_upper(r, b[:, 0]) - z[:, 0]), 2 * k * eps * forward[:, 0])

@@ -1,12 +1,10 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ritzbounds import models
-from ritzbounds.defect import TestSubspace as Subspace
 from ritzbounds.defect import etas_schur, p_diagonal_split
 from ritzbounds.densela import cholesky_lower, gen_sym_eig, sym_eig
 from ritzbounds.errors import HypothesisError
@@ -27,13 +25,10 @@ from ritzbounds.models import (
     table1_row,
 )
 
+import mp_oracle
+from conftest import span_e1
+
 PI = math.pi
-
-
-def span_e1(n=3):
-    basis = np.zeros((n, 1))
-    basis[0, 0] = 1.0
-    return Subspace(basis)
 
 
 class TestKappaFamily:
@@ -170,27 +165,13 @@ class TestSchrodinger:
 
         monkeypatch.setattr(models, "_inverse_quadratic_form", spy)
         got = schrodinger_eta2_fd(kappa, length=10.0, nodes=2000)
-        with mpmath.workdps(40):
-            off = mpmath.mpf(seen["off"])
-            pivot, y, total = mpmath.inf, mpmath.mpf(0), mpmath.mpf(0)
-            for d, r in zip(seen["diag"].tolist(), seen["rhs"].tolist()):
-                pivot, y = d - off * off / pivot, r - off / pivot * y
-                total += y * y / pivot
-            moment = mpmath.mpf(10.0 / 2000) * total
-            exact = (moment - 1 / mpmath.mpf(PI) ** 2) / moment
-            assert abs(got - exact) / exact <= parent_error
+        exact = mp_oracle.fd_eta2(seen["diag"], seen["off"], seen["rhs"], 10.0 / 2000, 40)
+        assert abs(got - exact) / exact <= parent_error
 
     @pytest.mark.parametrize("kappa", [5.0, 1e3, 1e6, 1e9])
     def test_drop_matches_mpmath_root(self, kappa):
-        with mpmath.workdps(60):
-            k = mpmath.mpf(kappa)
-            s = mpmath.findroot(
-                lambda t: mpmath.sqrt(k**2 - t**2) + t / mpmath.tan(t),
-                (mpmath.pi / 2 + mpmath.mpf(10) ** -40, mpmath.pi - mpmath.mpf(10) ** -40),
-                solver="anderson",
-            )
-            exact = (mpmath.pi**2 - s**2) / mpmath.pi**2
-            assert abs(schrodinger_drop(kappa) - exact) <= 1e-13 * exact
+        exact = mp_oracle.schrodinger_drop(kappa, 60)
+        assert abs(schrodinger_drop(kappa) - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize("kappa", [4e9, 1e12, 1e100])
     def test_large_coupling_resolves_and_meets_the_series(self, kappa):
@@ -281,14 +262,7 @@ class TestFemAssembly:
         # 6 (1 - cos omega h) / (h^2 (2 + cos omega h)) - alpha, written with
         # 2 sin^2(omega h / 2) and evaluated in mpmath against cancellation
         values, _ = gen_sym_eig(*fem_assemble(n))
-        with mpmath.workdps(40):
-            h = 2 * mpmath.pi / n
-            exact = []
-            for k in range(n // 2):
-                wh = (k + mpmath.mpf(0.5)) * h
-                mode = 12 * mpmath.sin(wh / 2) ** 2 / (h**2 * (2 + mpmath.cos(wh)))
-                exact += 2 * [float(mode - mpmath.mpf(DEFAULT_ALPHA))]
-        exact = np.sort(exact)
+        exact = np.sort([mp_oracle.p1_mode(k + 0.5, n, DEFAULT_ALPHA, 40) for k in range(n // 2) for _ in range(2)])
         assert np.max(np.abs(values - exact) / exact) <= 1e-9
 
 
@@ -323,11 +297,7 @@ class TestFemRitz:
     def test_value_against_mpmath(self, n):
         # mu sits O(h^2) above lambda_1 = 1e-4; the naive closed form
         # loses that distance to cancellation, the series does not
-        with mpmath.workdps(40):
-            h = 2 * mpmath.pi / n
-            w = mpmath.mpf(0.5)
-            exact = 12 * mpmath.sin(w * h / 2) ** 2 / (h**2 * (2 + mpmath.cos(w * h)))
-            exact = float(exact - mpmath.mpf(DEFAULT_ALPHA))
+        exact = mp_oracle.p1_mode(0.5, n, DEFAULT_ALPHA, 40)
         assert fem_ritz(n).mu[0] == pytest.approx(exact, rel=4.5e-16)
 
     def test_no_assembly(self, monkeypatch):
@@ -407,33 +377,7 @@ class TestTableRow:
     @pytest.mark.parametrize("n", [8, 40, 160, 400, 10**4, 10**5, 10**6])
     @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, 0.2, 0.0, -1.0, -100.0])
     def test_matches_mpmath_oracle(self, n, alpha):
-        # the cos/sin pair only sees the aliases 1/2 + jN, with weights
-        # shape^2 proportional to (sin^2(h/4) / ((1/2 + jN) h/2)^2)^2, so
-        # Psi and Omega are the full class sums, divided by the weight sum,
-        # times I; Omega in residual form
-        with mpmath.workdps(40):
-            a = mpmath.mpf(alpha)
-            h = 2 * mpmath.pi / n
-            w = mpmath.mpf(0.5)
-            mu = 12 * mpmath.sin(w * h / 2) ** 2 / (h**2 * (2 + mpmath.cos(w * h))) - a
-            lam1, lam3 = w**2 - a, (w + 1) ** 2 - a
-
-            def weight(j):
-                return (mpmath.sin(w * h / 2) ** 2 / ((w + j * n) * h / 2) ** 2) ** 2
-
-            def class_sum(f):
-                return mpmath.nsum(lambda j: weight(j) * f((w + j * n) ** 2 - a), [-mpmath.inf, mpmath.inf])
-
-            psi = class_sum(lambda lam: 1 / lam)
-            omega = class_sum(lambda lam: (lam - mu) ** 2 / lam) / mu**2
-            eta2 = omega / psi
-            root2 = mpmath.sqrt(2)
-            expected = [
-                root2 * eta2,
-                root2 * (mu - lam1) / mu,
-                root2 * eta2 * lam3 / (lam3 - lam1),
-            ]
-            expected = [float(e) for e in expected]
+        expected = mp_oracle.table1_row(n, alpha, 40)
         lower, middle, upper = row = table1_row(n, alpha)
         assert_allclose(row, expected, rtol=1e-14, atol=0)
         # ordered; at N=1e6 the exact middle - lower margin, 6.6e-17

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ritzbounds import defect, verify
+from ritzbounds import bounds, defect, verify
 
 
 @pytest.mark.parametrize("name", list(verify.REGISTRY))
@@ -84,3 +84,45 @@ def test_repeated_check_name_runs_once_in_first_order():
     names = ["report.determinism", "densela.unitary_invariance", "report.determinism"]
     results = verify.run_checks(names=names)
     assert [r.name for r in results] == names[:2]
+
+
+def test_route_equivalence_is_relative(monkeypatch):
+    # defects near 1e-7, from subspaces 1e-7 from the lowest eigenvectors
+    # of a diagonal H, and a moment route off by 1e-3 relative: the
+    # absolute disagreement, about 1e-10, would pass an absolute 1e-9
+    def diagonal_spd(rng, n):
+        return np.diag(np.linspace(1.0, 2.0, n))
+
+    def near_lowest(rng, n, m):
+        basis, _ = np.linalg.qr(np.eye(n)[:, :m] + 1e-7 * rng.standard_normal((n, m)))
+        return defect.TestSubspace(basis)
+
+    monkeypatch.setattr(verify, "_random_spd", diagonal_spd)
+    monkeypatch.setattr(verify, "_random_subspace", near_lowest)
+    (result,) = verify.run_checks(names=["defect.route_equivalence"])
+    assert result.passed, result.detail
+    original = defect.etas_residual
+
+    def scaled(split):
+        ds, dl, ratios = original(split)
+        return defect.DefectSpectrum(etas=ds.etas * (1.0 + 1e-3), route=ds.route), dl, ratios
+
+    monkeypatch.setattr(defect, "etas_residual", scaled)
+    (result,) = verify.run_checks(names=["defect.route_equivalence"])
+    assert not result.passed, result.detail
+
+
+def test_halved_cluster_bound_is_caught(monkeypatch):
+    # the bound exceeds the true norm by only 1.1-1.5 times on these
+    # draws, so half of it falls below; the check must compare every draw
+    original = bounds.cluster_upper_bound
+    monkeypatch.setattr(bounds, "cluster_upper_bound", lambda *args, **kwargs: 0.5 * original(*args, **kwargs))
+    (result,) = verify.run_checks(names=["bounds.cluster_bound_validity"])
+    assert not result.passed, result.detail
+    assert "below actual" in result.detail
+
+
+@pytest.mark.parametrize("name", ["bounds.cluster_bound_validity", "bounds.corollary_gap_consistency"])
+def test_cluster_checks_decide_every_draw(name):
+    (result,) = verify.run_checks(names=[name])
+    assert result.passed and result.detail.endswith("; 10 of 10 draws checked"), result.detail
