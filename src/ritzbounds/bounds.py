@@ -27,10 +27,10 @@ hypothesis failed (the flag records it instead).
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_quote
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .defect import (
     etas_schur,
     p_diagonal_split,
 )
-from .densela import NormKind, as_symmetric, ui_norm, values_norm
+from .densela import _EPS, NormKind, as_symmetric, ui_norm, values_norm
 from .errors import HypothesisError, SingularOperatorError
 
 INF = float("inf")
@@ -98,9 +98,9 @@ def relative_gap_gq(spec_rest, lambda_q: float) -> float:
     rest = np.asarray(spec_rest, dtype=float)
     if rest.size == 0:
         return INF
-    if np.any(rest <= 0):
+    if (rest <= 0).any():
         raise ValueError("unwanted spectrum must be positive")
-    return float(np.min(np.abs(lambda_q - rest) / rest))
+    return float((np.abs(lambda_q - rest) / rest).min())
 
 
 def gamma_s(lambda_qm1: float, lambda_qpm: float, mu1: float, mum: float) -> float:
@@ -278,7 +278,7 @@ def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
             "exactness ratio is undefined for an invariant subspace "
             "(zero defect)"
         )
-    correction = float(np.trace(_resolvent_term(split, lam)))
+    correction = float(_resolvent_term(split, lam).trace())
     return 1.0 + correction / sum_sq
 
 
@@ -353,7 +353,7 @@ def _routes_agree(schur: DefectSpectrum, moments: DefectSpectrum, n: int) -> boo
     """The cross-check of the two defect routes; see ``ROUTES_RTOL``."""
     k = min(schur.m, n - schur.m)
     a, b = schur.etas[-k:], moments.etas[-k:]
-    return bool(np.all(np.abs(a - b) <= ROUTES_RTOL * np.maximum(a, b) + ROUTES_ATOL))
+    return bool((np.abs(a - b) <= ROUTES_RTOL * np.maximum(a, b) + ROUTES_ATOL).all())
 
 
 def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=None, q: int = 1) -> BoundReport:
@@ -387,7 +387,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     if lambda_ref is not None:
         lambda_ref = np.asarray(lambda_ref, dtype=float)
         if lambda_ref.ndim != 1 or not (
-            np.all(np.isfinite(lambda_ref) & (lambda_ref > 0)) and np.all(np.diff(lambda_ref) >= 0)
+            (np.isfinite(lambda_ref) & (lambda_ref > 0)).all() and (lambda_ref[1:] >= lambda_ref[:-1]).all()
         ):
             raise ValueError("lambda_ref must be a 1-d array of finite, positive, nondecreasing values")
     kind = NormKind.coerce(norm_kind)
@@ -419,15 +419,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     g_q = relative_gap_gq(w_values, lam_q)
     g_1 = g_q if q == 1 else relative_gap_gq(w_values, lam[1])
     gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)
-    gaps = GapData(
-        q=q,
-        g_q=g_q,
-        gamma_s=gam,
-        lambda_qm1=lam_qm1,
-        lambda_qpm=lam_qpm,
-        mu_1=mu_1,
-        mu_m=mu_m,
-    )
+    gaps = GapData(q=q, g_q=g_q, gamma_s=gam, lambda_qm1=lam_qm1, lambda_qpm=lam_qpm, mu_1=mu_1, mu_m=mu_m)
     try:
         abs_bound = abs_cluster_bounds(split.residual, mu, lam_mp1, kind)
     except HypothesisError:
@@ -436,7 +428,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
 
     eta_m = ds.eta_max
     u_1 = np.abs(rd.vectors[:, 0])
-    mu_1_rounding = hm.n * np.finfo(float).eps * float(u_1 @ np.abs(hm.entries) @ u_1)
+    mu_1_rounding = hm.n * _EPS * float(u_1 @ np.abs(hm.entries) @ u_1)
     rel_tol = 1e-8
     cluster_is_multiple = abs(lam[q + m - 1] - lam_q) <= rel_tol * abs(lam_q)
     mu_1_below_2 = lam[2] - mu_1 > mu_1_rounding
@@ -508,16 +500,9 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
     # the print order of ``THEOREMS``
     order = [(tag, i) for i in range(m) for tag in THEOREM_TAGS[:4]]
     order += [(tag, i) for tag in THEOREM_TAGS[4:] for i in range(m)]
+    valid = {tag: all(flags[name] for name in names) for tag, names in THEOREMS.items()}
     entries = [
-        BoundEntry(
-            index=i + 1,
-            theorem=tag,
-            lower=intervals[tag][i][0],
-            upper=intervals[tag][i][1],
-            valid=all(flags[name] for name in THEOREMS[tag]),
-        )
-        for tag, i in order
-        if i < len(intervals[tag])
+        BoundEntry(i + 1, tag, *intervals[tag][i], valid[tag]) for tag, i in order if i < len(intervals[tag])
     ]
 
     return BoundReport(
@@ -525,10 +510,10 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
         m=m,
         q=q,
         norm_kind=kind.value,
-        mu=tuple(float(x) for x in mu),
-        etas=tuple(float(x) for x in ds.etas),
+        mu=tuple(mu.tolist()),
+        etas=tuple(ds.etas.tolist()),
         eta_route=ds.route,
-        lambda_ref=tuple(float(x) for x in lambda_ref[: q + m + 1]),
+        lambda_ref=tuple(lambda_ref[: q + m + 1].tolist()),
         gaps=gaps,
         flags=flags,
         entries=tuple(entries),
@@ -577,9 +562,50 @@ def report_to_dict(report: BoundReport) -> dict:
 
 
 def report_to_json(report_or_dict) -> str:
-    """Canonical JSON serialization (sorted keys, stable float text)."""
+    """Canonical JSON: the bytes of ``json.dumps(d, sort_keys=True, indent=2) + "\\n"``."""
     d = report_or_dict if isinstance(report_or_dict, dict) else report_to_dict(report_or_dict)
-    return json.dumps(d, sort_keys=True, indent=2) + "\n"
+    return _json_item(d, "") + "\n"
+
+
+#: json's text of a scalar by its exact type; a float's is ``float.__repr__``
+#: (a numpy float's ``repr`` is ``np.float64(x)``), but json's tokens for
+#: nan and +-inf (``_JSON_NONFINITE``).
+_JSON_SCALARS = {
+    float: float.__repr__, int: int.__repr__, str: _json_quote,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
+}
+_JSON_NONFINITE = {"inf": "Infinity", "nan": "NaN", "-inf": "-Infinity"}
+
+
+def _json_text(v, pad: str) -> str:
+    """``v`` as json writes it with sorted keys and a two-space indent, at
+    the indent ``pad``."""
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        texts = [f"{_json_quote(k)}: {_json_item(v[k], inner)}" for k in sorted(v)]
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return "[\n" + inner + (",\n" + inner).join([_json_item(x, inner) for x in v]) + "\n" + pad + "]"
+    # subclasses such as np.float64 write as their base type, as in json
+    base = next((t for t in (float, int, str) if isinstance(v, t)), None)
+    if base is None:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    text = _JSON_SCALARS[base](v)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_item(x, pad: str) -> str:
+    """``_json_text``, with a scalar of an exact JSON type written here."""
+    write = _JSON_SCALARS.get(type(x))
+    if write is None:
+        return _json_text(x, pad)
+    text = write(x)
+    return _JSON_NONFINITE.get(text, text)
 
 
 CSV_COLUMNS = ("index", "theorem", "lower", "upper", "valid")

@@ -34,9 +34,11 @@ import numpy as np
 
 from .densela import (
     SymmetricMatrix,
+    _EPS,
     _inv_upper,
     _lapack,
     _solve_upper,
+    _sym_eig,
     as_symmetric,
     cholesky_lower,
     singular_values,
@@ -149,7 +151,7 @@ class DefectSpectrum:
         e = np.array(self.etas, dtype=float)
         if e.ndim != 1:
             raise ValueError("etas must be a 1-d array")
-        if e.size and (np.any(np.diff(e) < 0) or e[0] < 0):
+        if e.size and ((e[1:] < e[:-1]).any() or e[0] < 0):
             raise ValueError("etas must be nonnegative and ascending")
         if e.size and e[-1] >= 1.0:
             raise ValueError(
@@ -218,7 +220,7 @@ def orthonormal_completion(basis: np.ndarray) -> np.ndarray:
     comp = q_full[:, m:]
     # QR may flip the leading block's signs; the complement is unaffected,
     # but guard against loss of orthogonality to the input columns
-    defect = np.max(np.abs(basis.T @ comp)) if comp.size else 0.0
+    defect = np.abs(basis.T @ comp).max() if comp.size else 0.0
     if defect > 1e-12:
         raise ValueError(f"completion failed, max |B^T C| = {defect:.3e}")
     return comp
@@ -235,7 +237,11 @@ def ritz(h, subspace: TestSubspace) -> RitzData:
     if hm.n != subspace.ambient_dim:
         raise ValueError("operator and subspace dimensions differ")
     compressed = b.T @ hm.entries @ b
-    mu, y = sym_eig(0.5 * (compressed + compressed.T))
+    # symmetrized here once, so sym_eig's admission is skipped
+    compressed = 0.5 * (compressed + compressed.T)
+    if not np.isfinite(compressed).all():
+        raise ValueError("matrix entries must be finite (found nan or inf)")
+    mu, y = _sym_eig(compressed)
     if mu.size and mu[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"operator is not positive definite on the test subspace: "
@@ -268,10 +274,10 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     u = rd.vectors
     perm, ell = h_factor = sorted_cholesky(hm, what="operator")
     g = ell.T @ orthonormal_completion(u)[perm]
-    cols = np.argsort(-np.einsum("ij,ij->j", g, g), kind="stable")
+    cols = (-np.einsum("ij,ij->j", g, g)).argsort(kind="stable")
     # the R factor of [G[:, cols], L^T P^T U] holds R11 and Q^T L^T P^T U
     # without forming Q
-    r = np.linalg.qr(np.hstack([g[:, cols], ell.T @ u[perm]]), mode="r")
+    r = np.linalg.qr(np.concatenate([g[:, cols], ell.T @ u[perm]], axis=1), mode="r")
     del g  # n (n-m) floats fewer held through the triangular inverse
     k = r.shape[0] - rd.m
     x = _inv_upper(r)
@@ -297,7 +303,7 @@ def _lowest_eigenvalues(split: SplitOperator, count: int) -> np.ndarray:
         values = 1.0 / inv
         # eigvalsh errs by about n eps times the largest eigenvalue
         # 1/lambda_1 of S, which is n eps lambda_k/lambda_1 relative
-        error = n * np.finfo(float).eps * values**2 / values[0]
+        error = n * _EPS * values**2 / values[0]
         if np.all(np.diff(values) > error[1:] + error[:-1]):
             return values
     return singular_values(split.h_factor[1])[::-1] ** 2
@@ -310,7 +316,7 @@ def etas_schur(split: SplitOperator) -> DefectSpectrum:
     """
     s = singular_values(split.k_s)
     etas = np.zeros(split.m)
-    etas[split.m - len(s) :] = np.sort(s)
+    etas[split.m - len(s) :] = s[::-1]
     return DefectSpectrum(etas=etas, route="schur_block")
 
 

@@ -45,6 +45,7 @@ from .errors import (
 )
 
 _SYMMETRY_RTOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class NormKind(enum.Enum):
@@ -121,10 +122,8 @@ def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (deterministic)."""
     if vectors.size == 0:
         return vectors
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    return np.where(lead < 0, -vectors, vectors)
 
 
 def _lapack(routine, *args, **kwargs):
@@ -155,13 +154,18 @@ def sym_eig(a):
     values : ndarray, ascending eigenvalues
     vectors : ndarray, orthonormal columns, ``a @ vectors[:, i] == values[i] * vectors[:, i]``
     """
-    m = as_symmetric(a)
-    if m.n == 0:
+    return _sym_eig(as_symmetric(a).entries)
+
+
+def _sym_eig(a: np.ndarray):
+    """``sym_eig`` of an exactly symmetric, finite array, which it does not
+    admit again."""
+    if not len(a):
         return np.empty(0), np.empty((0, 0))
     try:
-        perm, ell = sorted_cholesky(m)
+        perm, ell = sorted_cholesky(a)
     except NotPositiveDefiniteError:
-        values, vectors = _lapack(np.linalg.eigh, m.entries)
+        values, vectors = _lapack(np.linalg.eigh, a)
         return values, _normalize_signs(vectors)
     # the values returned along with the vectors come from divide and
     # conquer, which loses the relative accuracy of the small ones
@@ -192,7 +196,7 @@ def sorted_cholesky(a, what: str = "matrix"):
     decreasing diagonal, which keeps the singular values of ``L`` relatively
     accurate on graded A; a failing pivot is named by its row of ``a``."""
     a = _as_array(a)
-    perm = np.argsort(-np.diag(a), kind="stable")
+    perm = (-a.diagonal()).argsort(kind="stable")
     try:
         return perm, cholesky_lower(a.take(perm, axis=0).take(perm, axis=1), what=what)
     except NotPositiveDefiniteError as err:
@@ -331,8 +335,8 @@ def singular_values(a) -> np.ndarray:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if min(a.shape) == 0:
         return np.empty(0)
-    rows = np.argsort(-np.einsum("ij,ij->i", a, a), kind="stable")
-    cols = np.argsort(-np.einsum("ij,ij->j", a, a), kind="stable")
+    rows = (-np.einsum("ij,ij->i", a, a)).argsort(kind="stable")
+    cols = (-np.einsum("ij,ij->j", a, a)).argsort(kind="stable")
     return _lapack(np.linalg.svd, a.take(rows, axis=0).take(cols, axis=1), compute_uv=False)
 
 

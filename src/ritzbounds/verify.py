@@ -354,12 +354,14 @@ def check_report_round_trip(rng):
     h, lam, s = _clustered(rng, 8, 2)
     report = _bounds.build_report(h, s, "frobenius", lambda_ref=lam)
     text = _bounds.report_to_json(report)
+    if json.loads(text) != _bounds.report_to_dict(report):
+        return False, "JSON text does not parse back to the report's content"
     if text != _bounds.report_to_json(json.loads(text)):
         return False, "JSON round trip changed bytes"
     csv_text = _bounds.report_to_csv(report)
     if csv_text != _bounds.report_to_csv(_bounds.csv_to_rows(csv_text)):
         return False, "CSV round trip changed bytes"
-    return True, "JSON and CSV byte-stable"
+    return True, "JSON holds the report's content; JSON and CSV byte-stable"
 
 
 def check_report_determinism(rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -377,6 +378,10 @@ class TestDefectInvariants:
             assert np.linalg.norm(s.entries) <= 1e-10 * np.linalg.norm(mat, 2)
 
 
+# the seed derandomize drew from the test's source when it was written,
+# int_from_bytes(function_digest(test)): the examples stay the same
+# across edits
+@hypothesis.seed(36271557236429654172459908062864976144972623559633804056062278230165840358907639573067624439608712603170188808339678)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=3, max_value=14),

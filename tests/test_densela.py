@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -256,6 +257,10 @@ class TestUiNorm:
         assert values_norm([-3.0, 4.0], "spectral") == 4.0
 
 
+# the seed derandomize drew from the test's source when it was written,
+# int_from_bytes(function_digest(test)): the examples stay the same
+# across edits
+@hypothesis.seed(35573466507285693738194618388844343830156937364304508398844430137814535878698257191628442707124605613622023862474710)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
 def test_sym_eig_matches_lapack_oracle(n, seed):

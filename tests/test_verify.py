@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ritzbounds import bounds, defect, verify
+from ritzbounds import bounds, cli, defect, verify
 
 
 @pytest.mark.parametrize("name", list(verify.REGISTRY))
@@ -58,6 +58,21 @@ def test_mutation_in_moment_route_is_caught(monkeypatch):
     monkeypatch.setattr(defect, "etas_residual", corrupted)
     results = verify.run_checks(names=["defect.route_equivalence"])
     assert not results[0].passed, results[0].detail
+
+
+def test_writer_dropping_a_key_is_caught(monkeypatch, capsys):
+    # a writer that drops a key on both paths still round-trips byte for
+    # byte; the round trip must compare the content too
+    original = bounds.report_to_json
+
+    def dropping(report_or_dict):
+        d = dict(report_or_dict) if isinstance(report_or_dict, dict) else bounds.report_to_dict(report_or_dict)
+        d.pop("eta_route")
+        return original(d)
+
+    monkeypatch.setattr(bounds, "report_to_json", dropping)
+    assert cli.main(["verify", "--only", "report.round_trip"]) == cli.EXIT_FAILURE
+    assert "[FAIL] report.round_trip: JSON text does not parse back" in capsys.readouterr().out
 
 
 def test_route_equivalence_factors_h_once_per_draw(monkeypatch):
