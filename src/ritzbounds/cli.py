@@ -26,12 +26,10 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import build_report, csv_table, format_report_table, report_to_csv, report_to_json
 from .defect import TestSubspace
-from .densela import read_matrix_text, sym_eig, sym_eigvals
+from .densela import read_matrix_text, sym_eig
 from .errors import (
     HypothesisError,
     MatrixParseError,
@@ -40,8 +38,8 @@ from .errors import (
 )
 from .models import (
     DEFAULT_ALPHA,
-    hkappa_matrix,
-    hkappa_reference,
+    KappaRow,
+    kappa_row,
     schrodinger_bounds,
     schrodinger_drop,
     schrodinger_eta2,
@@ -86,6 +84,13 @@ def _text_table(columns, rows) -> str:
         cells = [f"{v:.4e}" if isinstance(v, float) else str(v) for v in row]
         lines.append("  ".join(f"{c:>{width}s}" for c in cells))
     return "\n".join(lines) + "\n"
+
+
+def _print_table(args, columns, rows, notes=()) -> int:
+    """A model subcommand's table in ``args.format``, then one line per note."""
+    text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
+    _emit(text + "".join(f"{note}\n" for note in notes), args.out)
+    return EXIT_OK
 
 
 def _comma_list(text: str):
@@ -203,35 +208,7 @@ def _cmd_bounds(args, parser) -> int:
 
 
 def _cmd_kappa_demo(args, parser) -> int:
-    from .defect import etas_schur, p_diagonal_split
-
-    columns = ("kappa", "res_norm", "eta", "eta_computed", "rel_error", "ratio")
-    rows = []
-    for kappa in sorted(args.kappas):
-        h = hkappa_matrix(kappa)
-        ref = hkappa_reference(kappa)
-        basis = np.zeros((3, 1))
-        basis[0, 0] = 1.0
-        split = p_diagonal_split(h, TestSubspace(basis))
-        eta_computed = etas_schur(split).eta_max
-        lam1 = sym_eigvals(h)[0]
-        # (mu - lambda_1)/mu at mu = 1/101 from the 2x2 secular equation
-        # (mu - lambda)(1 + kappa^2 - lambda) = mu^2, which subtracts
-        # nothing small; dividing by eta twice keeps eta^2 from underflowing
-        rel_error = (1 / 101) / (1.0 + kappa * kappa - lam1)
-        rows.append(
-            (
-                kappa,
-                ref.res_norm,
-                ref.eta,
-                eta_computed,
-                rel_error,
-                rel_error / eta_computed / eta_computed,
-            )
-        )
-    text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _print_table(args, KappaRow._fields, [kappa_row(kappa) for kappa in sorted(args.kappas)])
 
 
 def _cmd_schrodinger(args, parser) -> int:
@@ -255,22 +232,12 @@ def _cmd_schrodinger(args, parser) -> int:
                 f"# fd oracle kappa={kappa:g}: eta2={fd:.10e} "
                 f"|closed form - oracle| = {abs(fd - schrodinger_eta2(kappa)):.3e}"
             )
-    text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
-    if oracle_lines:
-        text += "\n".join(oracle_lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    return _print_table(args, columns, rows, oracle_lines)
 
 
 def _cmd_fem_periodic(args, parser) -> int:
-    columns = ("N", "lower", "middle", "upper")
-    rows = []
-    for n_mesh in sorted(args.n_list):
-        lower, middle, upper = table1_row(n_mesh, alpha=args.alpha)
-        rows.append((n_mesh, lower, middle, upper))
-    text = csv_table(columns, rows) if args.format == "csv" else _text_table(columns, rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    rows = [(n_mesh, *table1_row(n_mesh, alpha=args.alpha)) for n_mesh in sorted(args.n_list)]
+    return _print_table(args, ("N", "lower", "middle", "upper"), rows)
 
 
 def _cmd_verify(args, parser) -> int:

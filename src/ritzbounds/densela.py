@@ -259,8 +259,10 @@ def _inv_upper(r: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular upper triangular matrix by recursive 2x2
     blocking, ``X12 = -X11 R12 X22`` (Du Croz and Higham, 1992), with
     leaves ``numpy.linalg.solve(r, I)`` of order at most ``_LEAF``, whose
-    LU swaps no row of a triangular matrix.  n^3/3 flops, where an LU
-    solve of the whole matrix with n right-hand sides takes 8 n^3/3."""
+    LU swaps no row of a triangular matrix.  A leaf of order k is an LU
+    solve with k right-hand sides, about 8 k^3/3 flops, and every n <=
+    ``_LEAF`` is one leaf.  Well above ``_LEAF`` the dense products
+    dominate, about 2 n^3/3 flops in all."""
     n = r.shape[0]
     if n <= _LEAF:
         return np.linalg.solve(r, np.eye(n))

@@ -4,7 +4,9 @@ Three generators exercise the bound machinery end to end:
 
 * the 3x3 coupling family ``diag(1/101, 1/100, 1 + kappa^2)`` with a
   -1/101 corner coupling, whose Ritz data for the first coordinate vector
-  has closed forms (``hkappa_reference``),
+  has closed forms (``hkappa_reference``); ``kappa_row`` sets them beside
+  the computed defect and the true relative error, the row ``kappa-demo``
+  prints and ``verify``'s kappa checks read,
 * the half-line Schroedinger operator ``-d^2/dx^2 + kappa^2`` on
   ``[1, inf)`` with a Dirichlet wall at 0, whose bound-state energies
   solve a one-line transcendental equation and admit a convergent
@@ -33,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import cluster_upper_bound
-from .defect import RitzData, etas_moments
-from .densela import SymmetricMatrix, values_norm
+from .defect import RitzData, TestSubspace, etas_moments, etas_schur, p_diagonal_split
+from .densela import SymmetricMatrix, sym_eigvals, values_norm
 from .errors import HypothesisError
 
 PI = math.pi
@@ -89,6 +91,34 @@ def hkappa_reference(kappa: float) -> KappaReference:
         res_norm=1 / 101,
         eta=1.0 / (math.sqrt(101.0) * math.hypot(1.0, kappa)),
     )
+
+
+class KappaRow(NamedTuple):
+    kappa: float
+    res_norm: float
+    eta: float
+    eta_computed: float
+    rel_error: float
+    ratio: float
+
+
+def kappa_row(kappa: float) -> KappaRow:
+    """``kappa-demo``'s row: ``hkappa_reference``'s closed forms, the
+    Schur-route defect ``eta_computed`` of the split along ``e_1``, the
+    true ``rel_error = (mu - lambda_1)/mu`` at mu = 1/101 and ``ratio =
+    rel_error / eta_computed^2``.  The secular equation ``(mu - lambda)(1 +
+    kappa^2 - lambda) = mu^2`` gives ``rel_error = mu/(1 + kappa^2 -
+    lambda_1)``, which subtracts nothing small, and ``ratio - 1 =
+    lambda_1/(1 + kappa^2 - lambda_1)``, about 0.0099/kappa^2.
+    """
+    h = hkappa_matrix(kappa)
+    ref = hkappa_reference(kappa)
+    basis = np.zeros((3, 1))
+    basis[0, 0] = 1.0
+    eta_computed = etas_schur(p_diagonal_split(h, TestSubspace(basis))).eta_max
+    rel_error = (1 / 101) / (1.0 + kappa * kappa - sym_eigvals(h)[0])
+    # dividing by eta twice keeps eta^2 from underflowing
+    return KappaRow(kappa, ref.res_norm, ref.eta, eta_computed, rel_error, rel_error / eta_computed / eta_computed)
 
 
 # ---------------------------------------------------------------------------

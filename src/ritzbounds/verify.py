@@ -276,35 +276,27 @@ def check_corollary_gap_consistency(rng):
 
 
 def check_residual_dichotomy(rng):
-    h = _models.hkappa_matrix(1000.0)
-    basis = np.zeros((3, 1))
-    basis[0, 0] = 1.0
-    s = _defect.TestSubspace(basis)
-    eta = _defect.etas_schur(_defect.p_diagonal_split(h, s)).eta_max
+    eta = _models.kappa_row(1000.0).eta_computed
     psi = np.array([1.0, 0.0, 0.0])
-    res = np.linalg.norm(h.entries @ psi - (1 / 101) * psi)
+    res = np.linalg.norm(_models.hkappa_matrix(1000.0).entries @ psi - (1 / 101) * psi)
     ok = eta < 1e-2 and res > 9e-3
     return ok, f"eta = {eta:.3e} (< 1e-2), residual = {res:.3e} (> 9e-3)"
 
 
 def check_kappa_exactness_ratio(rng):
+    # ratio - 1 = lambda_1/(1 + kappa^2 - lambda_1), about 0.0099/kappa^2
     details = []
-    for k, tol in ((1000.0, 5e-2), (10000.0, 5e-3)):
-        h = _models.hkappa_matrix(k)
-        lam1 = _densela.sym_eigvals(h)[0]
-        mu = 1 / 101
-        ratio = ((mu - lam1) / mu) / _models.hkappa_reference(k).eta ** 2
-        details.append(f"kappa={k:g}: |ratio-1| = {abs(ratio - 1):.2e}")
-        if abs(ratio - 1.0) > tol:
+    for k in (1000.0, 10000.0):
+        gap = abs(_models.kappa_row(k).ratio - 1.0)
+        details.append(f"kappa={k:g}: |ratio-1| = {gap:.2e}")
+        if gap > 1.0 / k**2:
             return False, "; ".join(details)
     return True, "; ".join(details)
 
 
 def check_kappa_error_expansion(rng):
     for k in (100.0, 1000.0):
-        h = _models.hkappa_matrix(k)
-        lam1 = _densela.sym_eigvals(h)[0]
-        rel = (1 / 101 - lam1) / (1 / 101)
+        rel = _models.kappa_row(k).rel_error
         model = 1.0 / (101.0 * k**2)
         if abs(rel - model) / model > 10.0 / k**2:
             return False, f"kappa={k:g}: deviation {abs(rel - model) / model:.2e}"

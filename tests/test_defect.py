@@ -124,6 +124,15 @@ class TestPDiagonalSplit:
             s = np.linalg.norm(split.k_s)
             assert s == pytest.approx(mp_oracle.kappa_family(k, 60).eta, rel=1e-13)
 
+    def test_completion_of_large_columns(self, rng):
+        # Householder QR keeps B^T C at about eps ||B||, so large columns
+        # must not be read as a failed completion
+        b = random_subspace(rng, 6, 2)
+        c = orthonormal_completion(1e8 * b)
+        assert c.shape == (6, 4)
+        assert_allclose(c.T @ c, np.eye(4), atol=1e-14)
+        assert np.abs(b.T @ c).max() <= 1e-14
+
     def test_matches_dense_complement_eigendecomposition(self, rng):
         # the split never forms W = V^T H V; here it is formed and
         # diagonalized densely

@@ -14,6 +14,7 @@ from ritzbounds.models import (
     fem_ritz,
     hkappa_matrix,
     hkappa_reference,
+    kappa_row,
     periodic_exact,
     periodic_moment_matrix,
     schrodinger_bounds,
@@ -77,6 +78,15 @@ class TestKappaFamily:
         assert gaps[1] < gaps[0]
         assert gaps[1] < 5e-2
         assert gaps[2] < 5e-3
+
+    @pytest.mark.parametrize("kappa", [10.0, 1e3, 1e4, 1e7, 1e9, 1e50, 1e150])
+    def test_kappa_row_matches_mpmath(self, kappa):
+        row = kappa_row(kappa)
+        truth = mp_oracle.kappa_family(kappa, 60)
+        assert (row.kappa, row.res_norm) == (kappa, 1 / 101)
+        for got, want in [(row.eta, truth.eta), (row.eta_computed, truth.eta),
+                          (row.rel_error, truth.rel_error), (row.ratio, truth.ratio)]:
+            assert abs(got - want) <= 1e-13 * want, (got, want)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ritzbounds import bounds, cli, defect, verify
+from ritzbounds import bounds, cli, defect, models, verify
 
 
 @pytest.mark.parametrize("name", list(verify.REGISTRY))
@@ -141,3 +141,57 @@ def test_halved_cluster_bound_is_caught(monkeypatch):
 def test_cluster_checks_decide_every_draw(name):
     (result,) = verify.run_checks(names=[name])
     assert result.passed and result.detail.endswith("; 10 of 10 draws checked"), result.detail
+
+
+def _caught(monkeypatch, name, module, attr, mutate):
+    # the check passes, then fails once ``module.attr`` is ``mutate(original)``
+    (result,) = verify.run_checks(names=[name])
+    assert result.passed, result.detail
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    (result,) = verify.run_checks(names=[name])
+    assert not result.passed, result.detail
+    return result.detail
+
+
+@pytest.mark.parametrize("name, field, factor", [
+    ("models.kappa_exactness_ratio", "ratio", 1 + 1e-6),
+    ("models.kappa_error_expansion", "rel_error", 1.01),
+])
+def test_skewed_kappa_row_is_caught(monkeypatch, name, field, factor):
+    # |ratio - 1| is about 0.0099/kappa^2, so even 1e-6 on the ratio is
+    # far outside the model's rate
+    def skewed(original):
+        def kappa_row(kappa):
+            row = original(kappa)
+            return row._replace(**{field: getattr(row, field) * factor})
+        return kappa_row
+
+    _caught(monkeypatch, name, models, "kappa_row", skewed)
+
+
+def test_defect_without_complement_scaling_is_caught(monkeypatch):
+    # ||R e_i|| / sqrt(mu_i) skips W^{-1/2}: 1/sqrt(101) in place of 9.95e-05
+    def unscaled(original):
+        def etas_schur(split):
+            etas = np.sort(np.linalg.norm(split.residual, axis=0) / np.sqrt(split.mu))
+            return defect.DefectSpectrum(etas=etas, route="schur_block")
+        return etas_schur
+
+    detail = _caught(monkeypatch, "bounds.residual_dichotomy", models, "etas_schur", unscaled)
+    assert detail.startswith("eta = 9.950e-02"), detail
+
+
+def test_halved_sandwich_upper_end_is_caught(monkeypatch):
+    def halved(original):
+        def sandwich_bounds(*args, **kwargs):
+            lower, upper = original(*args, **kwargs)
+            return lower, 0.5 * upper
+        return sandwich_bounds
+
+    _caught(monkeypatch, "bounds.sandwich_containment", bounds, "sandwich_bounds", halved)
+
+
+def test_doubled_corollary_gap_is_caught(monkeypatch):
+    detail = _caught(monkeypatch, "bounds.corollary_gap_consistency", bounds, "g1_from_spectral_gap",
+                     lambda original: lambda *args: 2.0 * original(*args))
+    assert "above exact" in detail, detail
