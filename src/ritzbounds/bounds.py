@@ -4,7 +4,8 @@ The functions here turn the defect spectrum and gap information into
 two-sided estimates for the relative eigenvalue errors ``(mu_i -
 lambda_i)/mu_i`` of a Ritz cluster:
 
-* first-order localization from the largest defect,
+* first-order localization, ``(1 - eta_m) mu <= lambda <= (1 + eta_m) mu``,
+  which ``build_report`` writes as the relative interval ``(-eta_m, eta_m)``,
 * the quadratic cluster bound ``(eta_m / g_q) |||diag(eta)|||`` in any
   unitary-invariant norm,
 * the two-sided sandwich ``|||diag(eta^2)||| <= |||I - lambda Xi^{-1}|||
@@ -164,13 +165,6 @@ def classical_temple_kato(mu: float, res_norm_sq: float, lambda2_lb: float) -> f
             f"gap hypothesis fails: lambda_2 lower bound {lambda2_lb!r} <= mu = {mu!r}"
         )
     return mu - res_norm_sq / (lambda2_lb - mu)
-
-
-def first_order_bounds(mu: float, eta: float):
-    """First-order localization ((1 - eta) mu, (1 + eta) mu)."""
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"need 0 <= eta < 1, got {eta}")
-    return (1.0 - eta) * mu, (1.0 + eta) * mu
 
 
 def cluster_upper_bound(etas: DefectSpectrum, g_q: float, kind) -> float:

@@ -262,8 +262,17 @@ def _cmd_verify(args, parser) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes ``-1e-3``, ``-.5``, ``-inf`` and ``-nan`` as values, where
+    argparse's own pattern takes only ``-1`` and ``-1.5``; subparsers too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ritzbounds",
         description="Relative a-posteriori eigenvalue bounds from Ritz test subspaces.",
     )

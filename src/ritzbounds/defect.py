@@ -40,12 +40,10 @@ from .densela import (
     _solve_upper,
     _sym_eig,
     as_symmetric,
-    cholesky_lower,
+    gen_sym_eig,
     singular_values,
-    solve_lower,
     sorted_cholesky,
     sym_eig,
-    sym_eigvals,
 )
 from .errors import NotPositiveDefiniteError, SingularOperatorError
 
@@ -351,20 +349,17 @@ def _scaled_residual(h_factor, residual: np.ndarray, mu) -> np.ndarray:
 def etas_moments(psi, omega) -> DefectSpectrum:
     """Defects from the moment pencil: eta_i^2 solves Omega c = eta^2 Psi c.
 
-    With ``Psi = L L^T`` the squares are the eigenvalues of ``L^-1 Omega
-    L^-T``, from ``sym_eigvals``.
+    The squares are the eigenvalues of the pencil from ``gen_sym_eig(Omega,
+    Psi)``, the library's one pencil solver.
     """
-    psi, omega = as_symmetric(psi), as_symmetric(omega)
     try:
-        ell = cholesky_lower(psi, what="Psi")
+        squares = gen_sym_eig(omega, psi)[0]
     except NotPositiveDefiniteError as err:
         raise NotPositiveDefiniteError(
             f"inverse-moment matrix is not positive definite (rank-deficient "
             f"test subspace?): {err}",
             pivot_index=err.pivot_index,
         ) from err
-    c = solve_lower(ell, solve_lower(ell, omega.entries).T)
-    squares = sym_eigvals(0.5 * (c + c.T))
     if squares.size and squares[0] < -1e-6:
         raise ValueError(
             f"moment pencil produced eigenvalue {squares[0]:.3e} far below "

@@ -290,7 +290,7 @@ def gen_sym_eig(a, b):
 
     Reduces to a standard problem with the Cholesky factor of B and
     back-transforms, so the returned vectors are B-orthonormal.  Eigenvalues
-    come back ascending.
+    come back ascending.  ``etas_moments`` solves the moment pencil with it.
     """
     a = _as_array(as_symmetric(a))
     bm = as_symmetric(b)

@@ -20,7 +20,6 @@ from ritzbounds.bounds import (
     cluster_upper_bound,
     csv_to_rows,
     exactness_ratio,
-    first_order_bounds,
     g1_from_spectral_gap,
     gamma_s,
     gq_lower_bound_lemma,
@@ -168,21 +167,24 @@ class TestClassicalTempleKato:
             classical_temple_kato(2.0, 0.1, 1.5)
 
 
+def _first_order(report):
+    return [e for e in report.entries if e.theorem == "first_order"]
+
+
 class TestFirstOrder:
+    # (1 - eta_m) mu <= lambda <= (1 + eta_m) mu, which the report writes
+    # as the interval (-eta_m, eta_m) for (mu - lambda)/mu
     def test_zero_defect_collapses(self):
-        assert first_order_bounds(3.0, 0.0) == (3.0, 3.0)
+        (entry,) = _first_order(build_report(np.diag([3.0, 4.0, 7.0]), span_e1()))
+        assert (entry.lower, entry.upper, entry.valid) == (0.0, 0.0, True)
 
     def test_kappa_family_contains_lowest_eigenvalue(self):
         h = kappa_matrix(10.0)
-        split = p_diagonal_split(h, span_e1())
-        eta = etas_schur(split).eta_max
+        report = build_report(h, span_e1())
+        (entry,) = _first_order(report)
+        assert (entry.lower, entry.upper) == (-report.etas[-1], report.etas[-1])
         lam1 = sym_eig(h)[0][0]
-        lo, hi = first_order_bounds(1 / 101, eta)
-        assert lo <= lam1 <= hi
-
-    def test_rejects_defect_at_one(self):
-        with pytest.raises(ValueError):
-            first_order_bounds(1.0, 1.0)
+        assert entry.lower <= (report.mu[0] - lam1) / report.mu[0] <= entry.upper
 
 
 class TestClusterUpperBound:
@@ -459,10 +461,8 @@ class TestDichotomy:
     def test_first_order_width_decays_with_coupling(self):
         widths = []
         for k in (10.0, 100.0, 1000.0):
-            split = p_diagonal_split(kappa_matrix(k), span_e1())
-            eta = etas_schur(split).eta_max
-            lo, hi = first_order_bounds(1 / 101, eta)
-            widths.append(hi - lo)
+            (entry,) = _first_order(build_report(kappa_matrix(k), span_e1()))
+            widths.append(entry.upper - entry.lower)
         # width ~ 1/kappa: each decade shrinks it by ~10
         assert widths[1] < 0.15 * widths[0]
         assert widths[2] < 0.15 * widths[1]

@@ -375,6 +375,22 @@ class TestModelCommands:
         assert code == cli.EXIT_FAILURE
         assert "alpha" in capsys.readouterr().err
 
+    def test_negative_e_notation_is_a_value(self, capsys):
+        # argparse alone reads "-1e-3" as an option and exits 2
+        outputs = []
+        for argv in (("--alpha", "-1e-3"), ("--alpha=-1e-3",)):
+            assert run_cli("fem-periodic", "--n-list", "40", *argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, name", [
+        (("fem-periodic", "--alpha", "-inf"), "alpha"),
+        (("kappa-demo", "--kappas", "-1e3"), "kappa"),
+    ])
+    def test_negative_non_decimal_reaches_its_check(self, argv, name, capsys):
+        assert run_cli(*argv) == cli.EXIT_FAILURE
+        assert name in capsys.readouterr().err
+
     def test_fem_periodic_top_of_range_is_ordered(self, capsys):
         code = run_cli("fem-periodic", "--n-list", "100000,1000000")
         assert code == 0

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from ritzbounds import models
 from ritzbounds.defect import etas_schur, p_diagonal_split
-from ritzbounds.densela import cholesky_lower, gen_sym_eig, sym_eig
+from ritzbounds.densela import cholesky_lower, gen_sym_eig
 from ritzbounds.errors import HypothesisError
 from ritzbounds.models import (
     DEFAULT_ALPHA,
@@ -65,19 +65,12 @@ class TestKappaFamily:
         assert hkappa_reference(k).eta * k == pytest.approx(1 / math.sqrt(101.0), rel=1e-10)
 
     def test_exactness_ratio_trend(self):
-        # [(mu - lambda_1)/mu] / eta^2 marches to 1; past kappa ~ 1e3 the
-        # measured gap sits at the double-rounding floor of mu - lambda_1,
-        # so monotonicity is only asserted up to there
-        gaps = []
-        for k in (10.0, 1000.0, 10000.0):
-            h = hkappa_matrix(k)
-            lam1 = sym_eig(h)[0][0]
-            mu = 1 / 101
-            ratio = ((mu - lam1) / mu) / hkappa_reference(k).eta ** 2
-            gaps.append(abs(ratio - 1.0))
-        assert gaps[1] < gaps[0]
-        assert gaps[1] < 5e-2
-        assert gaps[2] < 5e-3
+        # [(mu - lambda_1)/mu] / eta^2 marches to 1 at the model's rate,
+        # |ratio - 1| = lambda_1/(1 + kappa^2 - lambda_1), about 0.0099/kappa^2
+        gaps = [abs(kappa_row(k).ratio - 1.0) for k in (10.0, 1e3, 1e4)]
+        for k, gap in zip((10.0, 1e3, 1e4), gaps):
+            assert gap <= 1.0 / k**2, (k, gap)
+        assert gaps[0] > gaps[1] > gaps[2]
 
     @pytest.mark.parametrize("kappa", [10.0, 1e3, 1e4, 1e7, 1e9, 1e50, 1e150])
     def test_kappa_row_matches_mpmath(self, kappa):
@@ -363,11 +356,9 @@ class TestModelBoundInterplay:
         assert lam3 == pytest.approx(1.5**2 - 0.2499, rel=1e-14)
 
     def test_schrodinger_first_order_interval_contains_eigenvalue(self):
-        from ritzbounds.bounds import first_order_bounds
-
+        # (1 - eta) pi^2 <= lambda_1 <= (1 + eta) pi^2
         eta = math.sqrt(schrodinger_eta2(100.0))
-        lo, hi = first_order_bounds(PI**2, eta)
-        assert lo <= schrodinger_lambda(100.0, 1) <= hi
+        assert (1.0 - eta) * PI**2 <= schrodinger_lambda(100.0, 1) <= (1.0 + eta) * PI**2
 
 
 class TestTableRow:

@@ -102,3 +102,26 @@ def test_summary_counts_rises_and_falls(tmp_path):
     summary = {line.split()[0]: line for line in out.getvalue().splitlines() if line.startswith("  .")}
     assert summary[".lambda_ref[]"].endswith("(2 moved, 2 rose, 0 fell)")
     assert summary[".etas[]"].endswith("(1 moved, 0 rose, 1 fell)")
+
+
+def test_cli_records_diff_to_zero_and_a_changed_byte_is_reported(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for directory in (a, b):
+        report_snapshot.record_cli(directory)
+    n = len(report_snapshot.CLI_INVOCATIONS)
+    out = io.StringIO()
+    assert report_snapshot.diff(a, b, out) == 0
+    assert out.getvalue() == f"{n} of {n} CLI invocations byte-identical, 0 differ\n"
+
+    records = json.loads((b / "cli.json").read_text())
+    assert [r["argv"] for r in records] == [list(argv) for argv in report_snapshot.CLI_INVOCATIONS]
+    assert 2 not in [r["exit"] for r in records]  # every argv parses
+    assert records[0]["argv"] == ["kappa-demo"] and "e+01" in records[0]["stdout"]
+    records[0]["stdout"] = records[0]["stdout"].replace("e+01", "e+02", 1)
+    (b / "cli.json").write_text(json.dumps(records))
+    out = io.StringIO()
+    assert report_snapshot.diff(a, b, out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "cli kappa-demo: exit 0 -> 0"
+    assert sum(line.startswith(("-", "+")) and "e+0" in line for line in lines) == 2
+    assert lines[-1] == f"{n - 1} of {n} CLI invocations byte-identical, 1 differ"

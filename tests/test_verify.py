@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ritzbounds import bounds, cli, defect, models, verify
+from ritzbounds import bounds, cli, defect, densela, models, verify
 
 
 @pytest.mark.parametrize("name", list(verify.REGISTRY))
@@ -195,3 +195,36 @@ def test_doubled_corollary_gap_is_caught(monkeypatch):
     detail = _caught(monkeypatch, "bounds.corollary_gap_consistency", bounds, "g1_from_spectral_gap",
                      lambda original: lambda *args: 2.0 * original(*args))
     assert "above exact" in detail, detail
+
+
+def test_pencil_solver_ignoring_b_is_caught(monkeypatch):
+    # A v = lambda v in place of A v = lambda B v: congruence moves it
+    detail = _caught(monkeypatch, "densela.pencil_congruence_invariance", densela, "gen_sym_eig",
+                     lambda original: lambda a, b: original(a, np.eye(len(b))))
+    assert detail.startswith("max relative drift"), detail
+
+
+def test_skewed_moment_pencil_is_caught(monkeypatch):
+    # etas_moments reads its squares from gen_sym_eig; 1% on them is far
+    # outside the direct Rayleigh quotient's 1e-8
+    def skewed(original):
+        def gen_sym_eig(a, b):
+            values, vectors = original(a, b)
+            return 1.01 * values, vectors
+        return gen_sym_eig
+
+    detail = _caught(monkeypatch, "defect.variational_consistency", defect, "gen_sym_eig", skewed)
+    assert detail.startswith("pencil max"), detail
+
+
+def test_skewed_fem_defects_are_caught(monkeypatch):
+    # table1_row's lower column reads etas_moments: 1e-3 on the defects
+    # puts the N=40 lower end above the middle column
+    def skewed(original):
+        def etas_moments(psi, omega):
+            ds = original(psi, omega)
+            return defect.DefectSpectrum(etas=ds.etas * (1.0 + 1e-3), route=ds.route)
+        return etas_moments
+
+    detail = _caught(monkeypatch, "models.fem_table_consistency", models, "etas_moments", skewed)
+    assert detail.startswith("N=40:"), detail
