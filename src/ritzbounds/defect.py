@@ -265,16 +265,26 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     u = rd.vectors
     perm, ell = h_factor = sorted_cholesky(hm, what="operator")
     g = ell.T @ orthonormal_completion(u)[perm]
+    n, k = g.shape
     cols = (-np.einsum("ij,ij->j", g, g)).argsort(kind="stable")
     # the R factor of [G[:, cols], L^T P^T U] holds R11 and Q^T L^T P^T U
-    # without forming Q
-    r = np.linalg.qr(np.concatenate([g[:, cols], ell.T @ u[perm]], axis=1), mode="r")
-    del g  # n (n-m) floats fewer held through the triangular inverse
-    k = r.shape[0] - rd.m
+    # without forming Q.  G's columns are gathered 64 rows at a time, so no
+    # n x k copy of G is made, and each n x n array is freed after its last
+    # read: beside L, the QR holds only its input, numpy's copy of it and R.
+    a = np.empty((n, n))
+    for lo in range(0, n, 64):
+        a[lo : lo + 64, :k] = g[lo : lo + 64, cols]
+    del g
+    a[:, k:] = ell.T @ u[perm]
+    r = np.linalg.qr(a, mode="r")
+    del a
+    k_s = r[:k, k:] / np.sqrt(rd.mu)
     x = _inv_upper(r)
+    del r
     s = x.T @ x
+    del x
     return SplitOperator(
-        k_s=r[:k, k:] / np.sqrt(rd.mu), residual=hm.entries @ u - u * rd.mu, ritz=rd,
+        k_s=k_s, residual=hm.entries @ u - u * rd.mu, ritz=rd,
         s11_values=_lapack(np.linalg.eigvalsh, s[:k, :k])[::-1], inv_gram=s, h_factor=h_factor,
     )
 
@@ -433,7 +443,12 @@ def _resolvent_term(split: SplitOperator, lambda_q: float) -> np.ndarray:
         )
     k = len(split.k_s)
     s11 = split.inv_gram[:k, :k]
-    return lambda_q * (split.k_s.T @ np.linalg.solve(np.eye(k) - lambda_q * s11, s11 @ split.k_s))
+    # I - lambda_q S11 in one array: 0 - lambda_q S11 keeps the identity's
+    # +0.0 off the diagonal, and 1 + (-y) is 1 - y
+    a = np.multiply(s11, lambda_q)
+    np.subtract(0.0, a, out=a)
+    a.flat[:: k + 1] += 1.0
+    return lambda_q * (split.k_s.T @ np.linalg.solve(a, s11 @ split.k_s))
 
 
 def relative_residual_identity(split: SplitOperator, rd: RitzData, lambda_q: float):

@@ -86,14 +86,19 @@ class SymmetricMatrix:
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite (found nan or inf)")
         if a.size:
-            scale = np.max(np.abs(a))
-            asym = np.max(np.abs(a - a.T))
+            scale = max(a.max(), -a.min())
+            diff = a - a.T
+            asym = np.abs(diff, out=diff).max()
+            del diff
             if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
                 raise NotSymmetricError(
                     f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
                     f"exceeds {_SYMMETRY_RTOL:.0e} * max|A| = {_SYMMETRY_RTOL * scale:.3e}"
                 )
-            a = 0.5 * a + 0.5 * a.T
+            # the bits of 0.5 a + 0.5 a^T, with one temporary: each half
+            # rounds as it does there
+            a *= 0.5
+            a += a.T.copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

@@ -193,6 +193,37 @@ class TestBoundsCommand:
         # eigenvectors of the operator itself span an invariant subspace
         assert report["etas"][0] <= 1e-10
 
+    @pytest.mark.parametrize(
+        "subspace, precond, message",
+        [
+            ("lowest-0", "h", "lowest-0 needs 1 <= k < 3"),
+            ("lowest-3", "h", "lowest-3 needs 1 <= k < 3"),
+            ("lowest-1", None, "--subspace lowest-K needs --precond with a matrix file"),
+            ("lowest-1", "p2", "preconditioner shape (2, 2) does not match the operator size 3"),
+            ("s2", None, "subspace has 2 rows but the operator is 3 x 3"),
+        ],
+    )
+    def test_subspace_usage_errors(self, subspace, precond, message, kappa_files, tmp_path, capsys):
+        matrix, _ = kappa_files
+        files = {"h": matrix, "p2": tmp_path / "p2.txt", "s2": tmp_path / "s2.txt"}
+        write_matrix_text(files["p2"], np.eye(2))
+        write_matrix_text(files["s2"], np.eye(2)[:, :1])
+        argv = ["bounds", "--matrix", str(matrix), "--subspace", str(files.get(subspace, subspace))]
+        if precond is not None:
+            argv += ["--precond", str(files[precond])]
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"\nritzbounds: error: {message}\n")
+
+    def test_malformed_header_exit_code(self, kappa_files, tmp_path, capsys):
+        _, subspace = kappa_files
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# operator\n3 three\n")
+        code = run_cli("bounds", "--matrix", str(bad), "--subspace", str(subspace))
+        assert code == cli.EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == f"error: {bad}:2: header dimensions must be integers\n"
+
     def test_csv_output_round_trips(self, kappa_files, tmp_path):
         matrix, subspace = kappa_files
         out = tmp_path / "report.csv"

@@ -60,6 +60,28 @@ class TestSymmetricMatrix:
             with pytest.raises(ValueError):
                 SymmetricMatrix(np.array([[1.0, bad], [bad, 1.0]]))
 
+    def test_stores_the_bits_of_the_average(self, rng):
+        # admission halves and adds in place; the stored bytes are those of
+        # 0.5 A + 0.5 A^T, also where halving a subnormal rounds
+        for draw in range(300):
+            n = int(rng.integers(1, 13))
+            kind = draw % 4
+            if kind == 0:  # random
+                a = rng.standard_normal((n, n))
+            elif kind == 1:  # graded over +-300 decades, both signs
+                a = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-300, 300, (n, n))
+            elif kind == 2:  # negative
+                a = -(rng.random((n, n)) + 1e-3)
+            else:  # subnormal: odd and even multiples of the least subnormal
+                a = rng.integers(-(2**40), 2**40, (n, n)) * 5e-324
+            a = np.triu(a) + np.triu(a, 1).T
+            if kind == 3:
+                a += rng.integers(-2, 3, (n, n)) * 5e-324
+            else:
+                a *= 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, (n, n))
+            expected = 0.5 * a + 0.5 * a.T
+            assert SymmetricMatrix(a).entries.tobytes() == expected.tobytes(), (draw, a)
+
 
 class TestSymEig:
     def test_identity(self):
@@ -363,6 +385,27 @@ class TestMatrixText:
     def test_missing_rows(self):
         with pytest.raises(MatrixParseError):
             read_matrix_text(io.StringIO("3 2\n1.0 2.0\n"))
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# comment\n2 2 2\n1 2\n3 4\n", 2, ":2: header must be 'n m', got 3 tokens"),
+            ("2\n1 2\n3 4\n", 1, ":1: header must be 'n m', got 1 tokens"),
+            ("2 2.0\n1 2\n3 4\n", 1, ":1: header dimensions must be integers"),
+            ("2 -2\n", 1, ":1: dimensions must be nonnegative"),
+            ("1 2\n1 2\n\n3 4\n", 4, ":4: more than the declared 1 rows"),
+            ("# nothing but\n\n# comments\n", 1, ": empty file"),
+        ],
+    )
+    def test_malformed_header_and_row_count(self, text, line, message):
+        with pytest.raises(MatrixParseError) as err:
+            read_matrix_text(io.StringIO(text))
+        assert (err.value.line, err.value.column) == (line, 1)
+        assert str(err.value) == "<stream>" + message
+
+    def test_zero_by_zero_header_is_an_empty_matrix(self):
+        a = read_matrix_text(io.StringIO("# empty\n0 0\n"))
+        assert a.shape == (0, 0) and a.dtype == float
 
 
 def graded_upper(k):
