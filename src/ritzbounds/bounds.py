@@ -5,7 +5,7 @@ two-sided estimates for the relative eigenvalue errors ``(mu_i -
 lambda_i)/mu_i`` of a Ritz cluster:
 
 * first-order localization, ``(1 - eta_m) mu <= lambda <= (1 + eta_m) mu``,
-  which ``build_report`` writes as the relative interval ``(-eta_m, eta_m)``,
+  which ``assemble`` writes as the relative interval ``(-eta_m, eta_m)``,
 * the quadratic cluster bound ``(eta_m / g_q) |||diag(eta)|||`` in any
   unitary-invariant norm,
 * the two-sided sandwich ``|||diag(eta^2)||| <= |||I - lambda Xi^{-1}|||
@@ -19,11 +19,12 @@ lambda_i)/mu_i`` of a Ritz cluster:
   sits to the true error aggregate.
 
 Every evaluator is a pure formula; hypothesis checking is the caller's
-business.  ``build_report`` is that caller: it assembles all bounds for a
-given operator/test-subspace pair, records one flag per checked
-hypothesis, marks an entry valid when every flag its theorem lists in
-``THEOREMS`` holds, and never refuses to evaluate a formula just because a
-hypothesis failed (the flag records it instead).
+business.  ``assemble`` is that caller: from the ``Measurements`` that
+``measure`` takes of an operator/test-subspace pair, O(m + q) numbers, it
+evaluates all bounds, records one flag per checked hypothesis, marks an
+entry valid when every flag its theorem lists in ``THEOREMS`` holds, and
+never refuses to evaluate a formula just because a hypothesis failed (the
+flag records it instead).  ``build_report`` is ``assemble(measure(...))``.
 """
 
 from __future__ import annotations
@@ -234,22 +235,25 @@ def abs_cluster_bounds(k_block, mu, lambda_mp1: float, kind) -> float:
     of |||K||| ||K||.  Requires ||K|| < lambda_{m+1} - mu_m.  The residual
     block ``R = H U - U M`` may stand for K: ``V^T R = K``, ``U^T R = 0``.
     """
-    kind = NormKind.coerce(kind)
     k = np.asarray(k_block, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    norm_k = ui_norm(k, NormKind.SPECTRAL)
-    gap = float(lambda_mp1 - mu[-1])
-    if norm_k >= gap:
+    norms = ui_norm(k, NormKind.SPECTRAL), float((k * k).sum())
+    return _abs_cluster(NormKind.coerce(kind), *norms, float(np.asarray(mu, dtype=float)[-1]), lambda_mp1)
+
+
+def _abs_cluster(kind: NormKind, spectral, squares, mu_m, lambda_mp1) -> float:
+    """``abs_cluster_bounds`` from K's spectral norm and squared sum, whose
+    square root is its Frobenius norm."""
+    gap = float(lambda_mp1 - mu_m)
+    if spectral >= gap:
         raise HypothesisError(
-            f"absolute gap hypothesis fails: ||K|| = {norm_k:.6e} >= "
+            f"absolute gap hypothesis fails: ||K|| = {spectral:.6e} >= "
             f"lambda_(m+1) - mu_m = {gap:.6e}"
         )
     if math.isinf(gap):
         return 0.0
     if kind is NormKind.TRACE:
-        return float((k * k).sum() / (gap - norm_k))
-    ui = norm_k if kind is NormKind.SPECTRAL else ui_norm(k, kind)
-    return ui * norm_k / (gap - norm_k)
+        return squares / (gap - spectral)
+    return (spectral if kind is NormKind.SPECTRAL else math.sqrt(squares)) * spectral / (gap - spectral)
 
 
 def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
@@ -339,6 +343,33 @@ class BoundReport:
     aggregates: dict
 
 
+@dataclass(frozen=True)
+class Measurements:
+    """What a report reads of H and the subspace, O(m + q) numbers that
+    ``measure`` takes for ``assemble``.  ``lambda_ref`` is ``lambda_1..
+    lambda_min(n, q+m+1)``, ``w_values`` the q smallest eigenvalues of W,
+    ``mu_1_rounding`` ``n eps |u_1|^T |H| |u_1|``, the a-priori rounding
+    bound of ``mu_1 = u_1^T H u_1``, ``r_spectral`` the spectral norm of
+    ``R = H U - U M``, and ``r0_squares`` and ``r_squares`` the squared
+    sums of its column 0 and of all of it.
+    """
+
+    n: int
+    q: int
+    mu: np.ndarray
+    schur: DefectSpectrum
+    moments: DefectSpectrum
+    dl: float
+    ratios: np.ndarray
+    lambda_ref: np.ndarray
+    w_values: np.ndarray
+    mu_1_rounding: float
+    r0_squares: float
+    r_spectral: float
+    r_squares: float
+    exactness_ratio: float | None
+
+
 def _finite_or_none(x):
     return None if x is None or not math.isfinite(x) else float(x)
 
@@ -350,28 +381,147 @@ def _routes_agree(schur: DefectSpectrum, moments: DefectSpectrum, n: int) -> boo
     return bool((np.abs(a - b) <= ROUTES_RTOL * np.maximum(a, b) + ROUTES_ATOL).all())
 
 
+def measure(h, subspace: TestSubspace, lambda_ref, q: int) -> Measurements:
+    """Every step of a report that reads H, the basis or an n-sized array:
+    the split, both defect routes, the ``min(n, q+m+1)`` lowest reference
+    values unless ``lambda_ref`` supplies them (``_lowest_eigenvalues``),
+    ``w_1..w_q``, which by interlacing (``w_q >= lambda_q``) hold the w
+    nearest lambda_q and lambda_1 in relative distance, and the exactness
+    ratio at lambda_q.  ``build_report`` checks the arguments.
+    """
+    hm = as_symmetric(h)
+    split = p_diagonal_split(hm, subspace)
+    schur = etas_schur(split)
+    moments, dl, ratios = etas_residual(split)
+    if lambda_ref is None:
+        lambda_ref = _lowest_eigenvalues(split, q + split.m + 1)
+    try:
+        exact_ratio = exactness_ratio(split, float(lambda_ref[q - 1]))
+    except SingularOperatorError:
+        exact_ratio = None
+    u_1, r = np.abs(split.ritz.vectors[:, 0]), split.residual
+    return Measurements(
+        n=hm.n, q=q, mu=split.mu, schur=schur, moments=moments, dl=dl, ratios=ratios,
+        lambda_ref=lambda_ref[: q + split.m + 1].copy(), w_values=1.0 / split.s11_values[:q],
+        mu_1_rounding=hm.n * _EPS * float(u_1 @ np.abs(hm.entries) @ u_1),
+        r0_squares=float(r[:, 0] @ r[:, 0]), r_spectral=ui_norm(r, NormKind.SPECTRAL),
+        r_squares=float((r * r).sum()), exactness_ratio=exact_ratio,
+    )
+
+
+def assemble(meas: Measurements, norm_kind) -> BoundReport:
+    """The gaps, flags, aggregates and entries of a report from its
+    measurements; pure, it calls no LAPACK routine.  The report reads
+    ``lambda_k``, ``k <= q+m``, as ``[0, lambda_1..lambda_min(n, q+m),
+    inf][k]``: ``inf`` means ``k > n``.  An entry is valid when its flags
+    in ``THEOREMS`` all hold.  ``routes_agree`` is relative
+    (``ROUTES_RTOL``, ``ROUTES_ATOL``), and ``tk_gap`` needs ``lambda_2 -
+    mu_1`` above ``mu_1_rounding``, so that a mu_1 computed just below a
+    double lowest eigenvalue fails it.  ``tk_gap`` and ``abs_gap`` also
+    need q = 1: Temple-Kato bounds ``mu_1 - lambda_1`` and the absolute
+    cluster bound covers ``lambda_1..lambda_m``.
+    """
+    kind = NormKind.coerce(norm_kind)
+    n, q, mu, ds = meas.n, meas.q, meas.mu, meas.schur
+    m = len(mu)
+    mu_1, mu_m = float(mu[0]), float(mu[-1])
+    # lam[k] is lambda_k for every k read: lambda_0 = 0, and +inf only past n
+    lam = [0.0, *map(float, meas.lambda_ref[: min(n, q + m)]), INF]
+    lam_q, lam_qm1, lam_qpm, lam_mp1 = lam[q], lam[q - 1], lam[q + m], lam[m + 1]
+
+    g_q = relative_gap_gq(meas.w_values, lam_q)
+    g_1 = g_q if q == 1 else relative_gap_gq(meas.w_values, lam[1])
+    gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)
+    gaps = GapData(q=q, g_q=g_q, gamma_s=gam, lambda_qm1=lam_qm1, lambda_qpm=lam_qpm, mu_1=mu_1, mu_m=mu_m)
+    try:
+        abs_bound = _abs_cluster(kind, meas.r_spectral, meas.r_squares, mu_m, lam_mp1)
+    except HypothesisError:
+        abs_bound = None
+    abs_gap = bool(q == 1 and abs_bound is not None)
+
+    eta_m = ds.eta_max
+    cluster_is_multiple = abs(lam[q + m - 1] - lam_q) <= 1e-8 * abs(lam_q)
+    mu_1_below_2 = lam[2] - mu_1 > meas.mu_1_rounding
+    flags = {
+        "routes_agree": _routes_agree(ds, meas.moments, n),
+        "cluster_multiplicity": bool(cluster_is_multiple and lam_qm1 < lam_q and lam_q < lam_qpm),
+        "eta_vs_gamma": bool(eta_m / (1.0 - eta_m) < gam),
+        "mu_below_next": bool(q == 1 and mu_m < lam_mp1),
+        "two_eta_below_one": bool(2.0 * eta_m < 1.0),
+        "tk_gap": bool(q == 1 and mu_1_below_2),
+        "abs_gap": abs_gap,
+    }
+
+    c33 = cluster_upper_bound(ds, g_q, kind) if g_q > 0 else None
+    # without a gap (g_1 = 0) the sandwiches keep only their lower ends
+    s_lo, s_hi = sandwich_bounds(ds, g_1 or INF, kind)
+    t_lo, t_hi = sandwich_bounds(ds, g_1 or INF, NormKind.TRACE)
+    s_hi, t_hi = (_finite_or_none(s_hi), _finite_or_none(t_hi)) if g_1 > 0 else (None, None)
+    r_lo, r_hi = residual_eta_sandwich(meas.ratios, meas.dl)
+    tk_lower = tk_rel = None
+    if mu_1_below_2:
+        res_sq, lam_2 = meas.r0_squares, lam[2]
+        tk_lower = classical_temple_kato(mu_1, res_sq, lam_2)
+        # the relative drop directly: mu minus the lower bound cancels to
+        # zero once the drop falls below the rounding of mu
+        tk_rel = res_sq / (lam_2 - mu_1) / mu_1
+
+    aggregates = {
+        "g_q": _finite_or_none(g_q),
+        "g_1": _finite_or_none(g_1),
+        "gamma_s": gam,
+        "g_q_lemma23": _finite_or_none(gq_lower_bound_lemma(eta_m, mu_1, mu_m, lam_qm1, lam_qpm)),
+        "dl": meas.dl,
+        "eta_sum_squares": ds.sum_squares(),
+        "g1_cor35": g1_from_spectral_gap(lam_mp1, mu_m) if flags["mu_below_next"] else None,
+        "cluster_T33": c33,
+        "sandwich_lower": s_lo,
+        "sandwich_upper": s_hi,
+        "trace_lower": t_lo,
+        "trace_upper": t_hi,
+        "prop36_lower": prop_lower_bound(mu, meas.ratios),
+        "residual_eta_lower": r_lo,
+        "residual_eta_upper": r_hi,
+        "abs_cluster": abs_bound,
+        "classical_tk_lower": tk_lower,
+        "exactness_ratio": meas.exactness_ratio,
+    }
+
+    # (lower, upper) per index, none where a formula is not computable
+    intervals = {
+        "first_order": [(-eta_m, eta_m)] * m,
+        "cluster_T33": [] if c33 is None else [(-c33, c33)] * m,
+        "sandwich_T34": [] if s_hi is None else [(-s_hi, s_hi)] * m,
+        "trace_T34": [] if t_hi is None else [(0.0, t_hi)] * m,
+        "classical_TK": [] if tk_rel is None else [(0.0, tk_rel)],
+        "abs_cluster": [] if abs_bound is None else [(-abs_bound / float(x), abs_bound / float(x)) for x in mu],
+    }
+    # the print order of ``THEOREMS``
+    order = [(tag, i) for i in range(m) for tag in THEOREM_TAGS[:4]]
+    order += [(tag, i) for tag in THEOREM_TAGS[4:] for i in range(m)]
+    valid = {tag: all(flags[name] for name in names) for tag, names in THEOREMS.items()}
+    entries = [
+        BoundEntry(i + 1, tag, *intervals[tag][i], valid[tag]) for tag, i in order if i < len(intervals[tag])
+    ]
+
+    return BoundReport(
+        n=n, m=m, q=q, norm_kind=kind.value, mu=tuple(mu.tolist()), etas=tuple(ds.etas.tolist()),
+        eta_route=ds.route, lambda_ref=tuple(meas.lambda_ref.tolist()), gaps=gaps, flags=flags,
+        entries=tuple(entries), aggregates=aggregates,
+    )
+
+
 def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=None, q: int = 1) -> BoundReport:
-    """Run the full defect/bound pipeline for one operator and subspace.
+    """Run the full defect/bound pipeline for one operator and subspace:
+    ``assemble(measure(...))``.
 
     ``q``, an integer >= 1 and not a bool, is the 1-based index of the
     target cluster.  ``lambda_ref`` supplies the reference eigenvalues
     (exact where a model provides them), a 1-d array of finite, positive,
     nondecreasing values.  The report reads ``lambda_k`` for ``k <= q+m``
-    only, as ``[0, lambda_1..lambda_min(n, q+m), inf][k]``: ``inf`` means
-    ``k > n``.  A bad ``q`` or ``lambda_ref``, ``q+m-1 > n``, or fewer than
-    ``min(n, q+m)`` reference values raises ``ValueError`` before H is
-    factored.  Unless supplied, the ``min(n, q+m+1)`` lowest are
-    ``1/eigvalsh`` of the split's inverse Gram, or dqds when they spread
-    beyond ``defect.SPREAD`` or tie.  ``g_q`` and ``g_1`` read the split's
-    ``w_values[:q]``, the ``q`` smallest eigenvalues of W; the moment
-    route, ``dl`` and the residual quotients are ``defect.etas_residual``.
-    Each entry's validity is the conjunction of its flags in ``THEOREMS``.
-    ``routes_agree`` is relative (``ROUTES_RTOL``, ``ROUTES_ATOL``), and
-    ``tk_gap`` needs ``lambda_2 - mu_1`` above ``n eps |u_1|^T |H| |u_1|``,
-    the a-priori rounding bound of the quadratic form ``mu_1 = u_1^T H u_1``,
-    so that a mu_1 computed just below a double lowest eigenvalue fails it.
-    ``tk_gap`` and ``abs_gap`` also need q = 1: Temple-Kato bounds ``mu_1 -
-    lambda_1`` and the absolute cluster bound covers ``lambda_1..lambda_m``.
+    only.  A bad ``q``, ``lambda_ref`` or ``norm_kind``, ``q+m-1 > n``, or
+    fewer than ``min(n, q+m)`` reference values raises ``ValueError``
+    before H is factored.
     """
     if isinstance(q, bool) or not hasattr(q, "__index__"):
         raise ValueError(f"target index q must be an integer, got {q!r}")
@@ -394,125 +544,7 @@ def build_report(h, subspace: TestSubspace, norm_kind="frobenius", lambda_ref=No
             f"target index q={q} with cluster size m={m} needs at least "
             f"{max(need, q + m - 1)} reference eigenvalues of n={hm.n}, got {have}"
         )
-    split = p_diagonal_split(hm, subspace)
-    rd = split.ritz
-    ds = etas_schur(split)
-    mu = rd.mu
-    mu_1, mu_m = float(mu[0]), float(mu[-1])
-    ds_moments, dl, ratios = etas_residual(split)
-
-    if lambda_ref is None:
-        lambda_ref = _lowest_eigenvalues(split, q + m + 1)
-    # lam[k] is lambda_k for every k read: lambda_0 = 0, and +inf only past n
-    lam = [0.0, *map(float, lambda_ref[:need]), INF]
-    lam_q, lam_qm1, lam_qpm, lam_mp1 = lam[q], lam[q - 1], lam[q + m], lam[m + 1]
-
-    # |lambda - w|/w is least at the w next to lambda_q and lambda_1, which
-    # by interlacing (w_q >= lambda_q) are among the q smallest
-    w_values = split.w_values[:q]
-    g_q = relative_gap_gq(w_values, lam_q)
-    g_1 = g_q if q == 1 else relative_gap_gq(w_values, lam[1])
-    gam = gamma_s(lam_qm1, lam_qpm, mu_1, mu_m)
-    gaps = GapData(q=q, g_q=g_q, gamma_s=gam, lambda_qm1=lam_qm1, lambda_qpm=lam_qpm, mu_1=mu_1, mu_m=mu_m)
-    try:
-        abs_bound = abs_cluster_bounds(split.residual, mu, lam_mp1, kind)
-    except HypothesisError:
-        abs_bound = None
-    abs_gap = bool(q == 1 and abs_bound is not None)
-
-    eta_m = ds.eta_max
-    u_1 = np.abs(rd.vectors[:, 0])
-    mu_1_rounding = hm.n * _EPS * float(u_1 @ np.abs(hm.entries) @ u_1)
-    rel_tol = 1e-8
-    cluster_is_multiple = abs(lam[q + m - 1] - lam_q) <= rel_tol * abs(lam_q)
-    mu_1_below_2 = lam[2] - mu_1 > mu_1_rounding
-    flags = {
-        "routes_agree": _routes_agree(ds, ds_moments, hm.n),
-        "cluster_multiplicity": bool(
-            cluster_is_multiple and lam_qm1 < lam_q and lam_q < lam_qpm
-        ),
-        "eta_vs_gamma": bool(eta_m / (1.0 - eta_m) < gam),
-        "mu_below_next": bool(q == 1 and mu_m < lam_mp1),
-        "two_eta_below_one": bool(2.0 * eta_m < 1.0),
-        "tk_gap": bool(q == 1 and mu_1_below_2),
-        "abs_gap": abs_gap,
-    }
-
-    c33 = cluster_upper_bound(ds, g_q, kind) if g_q > 0 else None
-    # without a gap (g_1 = 0) the sandwiches keep only their lower ends
-    s_lo, s_hi = sandwich_bounds(ds, g_1 or INF, kind)
-    t_lo, t_hi = sandwich_bounds(ds, g_1 or INF, NormKind.TRACE)
-    s_hi, t_hi = (_finite_or_none(s_hi), _finite_or_none(t_hi)) if g_1 > 0 else (None, None)
-    r_lo, r_hi = residual_eta_sandwich(ratios, dl)
-    tk_lower = tk_rel = None
-    if mu_1_below_2:
-        res = split.residual[:, 0]
-        res_sq, lam_2 = float(res @ res), lam[2]
-        tk_lower = classical_temple_kato(mu_1, res_sq, lam_2)
-        # the relative drop directly: mu minus the lower bound cancels to
-        # zero once the drop falls below the rounding of mu
-        tk_rel = res_sq / (lam_2 - mu_1) / mu_1
-    try:
-        exact_ratio = exactness_ratio(split, lam_q)
-    except SingularOperatorError:
-        exact_ratio = None
-
-    aggregates = {
-        "g_q": _finite_or_none(g_q),
-        "g_1": _finite_or_none(g_1),
-        "gamma_s": gam,
-        "g_q_lemma23": _finite_or_none(
-            gq_lower_bound_lemma(eta_m, mu_1, mu_m, lam_qm1, lam_qpm)
-        ),
-        "dl": dl,
-        "eta_sum_squares": ds.sum_squares(),
-        "g1_cor35": g1_from_spectral_gap(lam_mp1, mu_m) if flags["mu_below_next"] else None,
-        "cluster_T33": c33,
-        "sandwich_lower": s_lo,
-        "sandwich_upper": s_hi,
-        "trace_lower": t_lo,
-        "trace_upper": t_hi,
-        "prop36_lower": prop_lower_bound(mu, ratios),
-        "residual_eta_lower": r_lo,
-        "residual_eta_upper": r_hi,
-        "abs_cluster": abs_bound,
-        "classical_tk_lower": tk_lower,
-        "exactness_ratio": exact_ratio,
-    }
-
-    # (lower, upper) per index, none where a formula is not computable
-    intervals = {
-        "first_order": [(-eta_m, eta_m)] * m,
-        "cluster_T33": [] if c33 is None else [(-c33, c33)] * m,
-        "sandwich_T34": [] if s_hi is None else [(-s_hi, s_hi)] * m,
-        "trace_T34": [] if t_hi is None else [(0.0, t_hi)] * m,
-        "classical_TK": [] if tk_rel is None else [(0.0, tk_rel)],
-        "abs_cluster": [] if abs_bound is None else [
-            (-abs_bound / float(x), abs_bound / float(x)) for x in mu
-        ],
-    }
-    # the print order of ``THEOREMS``
-    order = [(tag, i) for i in range(m) for tag in THEOREM_TAGS[:4]]
-    order += [(tag, i) for tag in THEOREM_TAGS[4:] for i in range(m)]
-    valid = {tag: all(flags[name] for name in names) for tag, names in THEOREMS.items()}
-    entries = [
-        BoundEntry(i + 1, tag, *intervals[tag][i], valid[tag]) for tag, i in order if i < len(intervals[tag])
-    ]
-
-    return BoundReport(
-        n=hm.n,
-        m=m,
-        q=q,
-        norm_kind=kind.value,
-        mu=tuple(mu.tolist()),
-        etas=tuple(ds.etas.tolist()),
-        eta_route=ds.route,
-        lambda_ref=tuple(lambda_ref[: q + m + 1].tolist()),
-        gaps=gaps,
-        flags=flags,
-        entries=tuple(entries),
-        aggregates=aggregates,
-    )
+    return assemble(measure(hm, subspace, lambda_ref, q), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -465,7 +465,8 @@ def read_matrix_text(source) -> np.ndarray:
             )
     if shape is None:
         raise MatrixParseError(f"{name}: empty file", line=1, column=1)
-    if len(rows) != shape[0]:
+    # a row of m = 0 values is a blank line, which is skipped like a comment
+    if shape[1] and len(rows) != shape[0]:
         raise MatrixParseError(
             f"{name}: declared {shape[0]} rows but found {len(rows)}",
             line=len(text.splitlines()),

@@ -154,12 +154,17 @@ def check_variational_consistency(rng):
 
 
 def check_eta_bound_strict(rng):
+    # 1 -+ eta_m are the extreme eigenvalues of (H, P H P + (I-P) H (I-P))
     for _ in range(10):
         h = _random_spd(rng, 12, log_cond=6.0)
         s = _random_subspace(rng, 12, 4)
         etas = _defect.etas_schur(_defect.p_diagonal_split(h, s)).etas
         if not (np.all(np.diff(etas) >= 0) and etas[0] >= 0 and etas[-1] < 1):
             return False, f"violated ordering/bound: {etas}"
+        p, q = s.basis @ s.basis.T, np.eye(12) - s.basis @ s.basis.T
+        theta = _densela.gen_sym_eig(h, p @ h @ p + q @ h @ q)[0]
+        if max(abs(1.0 - theta[0] - etas[-1]), abs(theta[-1] - 1.0 - etas[-1])) > 1e-10:
+            return False, f"eta_m = {etas[-1]:.15e} but (H, H_P) spans [{theta[0]:.15e}, {theta[-1]:.15e}]"
     return True, "0 <= eta_1 <= ... <= eta_m < 1 on 10 draws"
 
 

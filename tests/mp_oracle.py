@@ -273,3 +273,52 @@ def valid_entries_contain(report, truth):
     for e in report.entries:
         if e.valid:
             assert e.lower <= truth[e.index - 1] <= e.upper, e
+
+
+def measurements(h, basis, q, dps):
+    """The fields of ``bounds.Measurements`` but ``n``, ``q`` and
+    ``mu_1_rounding`` for the exact Ritz data of the stored H and basis, each
+    rounded to a double once (``schur`` and ``moments`` as their etas), and
+    the true relative errors ``(mu_i - lambda)/mu_i`` against ``lambda_q``
+    and against ``lambda_(q+i-1)``.  With ``C = V^T R`` on the complement
+    and ``S(A) = M^-1/2 A M^-1/2``, the Schur route's squared defects are the
+    eigenvalues of ``S(C^T W^-1 C)``; the moment route's are ``s^2/(1 +
+    s^2)`` for those ``s^2`` of ``S(R^T H^-1 R)``, whose largest is ``dl``
+    and whose diagonal holds the residual quotients."""
+    m = basis.shape[1]
+    with mpmath.workdps(dps):
+        hm, _, v = complement_bases(h, basis, dps)
+        lam = sorted(mpmath.eigsy(hm, eigvals_only=True))
+        mu, _, r = exact_ritz(h, basis, dps)
+
+        def scaled(a):
+            return mpmath.matrix([[a[i, j] / mpmath.sqrt(mu[i] * mu[j]) for j in range(m)] for i in range(m)])
+
+        def values(a):
+            return sorted(mpmath.eigsy(a, eigvals_only=True))
+
+        w, c = v.T * hm * v, v.T * r
+        w_inv_c = w**-1 * c
+        ktk, ztz, rtr = scaled(c.T * w_inv_c), scaled(r.T * hm**-1 * r), r.T * r
+        s2 = values(ztz)
+        lam_q = lam[q - 1]
+        shifted = scaled(c.T * (w - lam_q * mpmath.eye(w.rows)) ** -1 * w_inv_c)
+        fields = dict(
+            mu=_floats(mu),
+            # both are rank n - m at most: a zero may come out a hair below 0
+            schur=_floats([mpmath.sqrt(max(x, 0)) for x in values(ktk)]),
+            moments=_floats([mpmath.sqrt(max(x, 0) / (1 + x)) for x in s2]),
+            dl=float(s2[-1]),
+            ratios=_floats([ztz[i, i] for i in range(m)]),
+            lambda_ref=_floats(lam[: q + m + 1]),
+            w_values=_floats(values(w)[:q]),
+            r0_squares=float(rtr[0, 0]),
+            r_spectral=float(mpmath.sqrt(values(rtr)[-1])),
+            r_squares=float(sum(rtr[i, i] for i in range(m))),
+            exactness_ratio=float(1 + lam_q * sum(shifted[i, i] for i in range(m)) / sum(ktk[i, i] for i in range(m))),
+        )
+        return (
+            fields,
+            [float((x - lam_q) / x) for x in mu],
+            [float((x - lam[q + i - 1]) / x) for i, x in enumerate(mu)],
+        )

@@ -496,6 +496,16 @@ class TestReport:
         with pytest.raises(ValueError, match="q must be at least 1"):
             build_report(np.diag(np.arange(1.0, 7.0)), span_e1(6), q=q)
 
+    def test_bad_norm_kind_is_refused_before_factoring(self, monkeypatch):
+        # only the assembly reads the norm kind, but the O(n^3) measurement
+        # must not run for a report that cannot be assembled
+        def refused(*args, **kwargs):
+            raise AssertionError("sorted_cholesky called")
+
+        monkeypatch.setattr(defect, "sorted_cholesky", refused)
+        with pytest.raises(ValueError, match="unknown norm kind 'bogus'"):
+            build_report(np.diag(np.arange(1.0, 7.0)), span_e1(6), norm_kind="bogus")
+
     @pytest.mark.parametrize(
         "lambda_ref",
         [[np.nan, 1, 3, 4], [1, 1, np.inf, 4], [4, 3, 1, 1], [[1, 1, 3, 4]], [0, 1, 3, 4], [-1, 1, 3, 4]],

@@ -144,6 +144,16 @@ class TestBoundsCommand:
             "error: need 1 <= dim < ambient dim, got basis shape (3, 4)\n"
         )
 
+    def test_zero_column_subspace_is_refused_as_a_subspace(self, tmp_path, capsys):
+        # a 3 x 0 file parses; the subspace, not the parser, refuses it
+        matrix = tmp_path / "h.txt"
+        write_matrix_text(matrix, np.diag([1.0, 2.0, 3.0]))
+        subspace = tmp_path / "s.txt"
+        write_matrix_text(subspace, np.empty((3, 0)))
+        code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == "error: need 1 <= dim < ambient dim, got basis shape (3, 0)\n"
+
     def test_not_positive_definite_exit_code(self, tmp_path):
         matrix = tmp_path / "indef.txt"
         write_matrix_text(matrix, np.diag([-1.0, 2.0, 3.0]))

@@ -407,6 +407,15 @@ class TestMatrixText:
         a = read_matrix_text(io.StringIO("# empty\n0 0\n"))
         assert a.shape == (0, 0) and a.dtype == float
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_empty_shapes_round_trip(self, shape, tmp_path):
+        # n rows of no values are n blank lines, which the reader skips
+        path = tmp_path / "empty.txt"
+        write_matrix_text(path, np.empty(shape))
+        a = read_matrix_text(path)
+        assert a.shape == shape and a.dtype == float
+        assert read_matrix_text(io.StringIO("3 0\n# no values\n\n")).shape == (3, 0)
+
 
 def graded_upper(k):
     """The transposed sorted Cholesky factor of ``D A D`` with D spanning 24

@@ -7,6 +7,7 @@ import numpy as np
 
 from ritzbounds import bounds
 from ritzbounds.defect import TestSubspace as Subspace
+from ritzbounds.densela import NormKind, SymmetricMatrix
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_snapshot.py"
 _spec = importlib.util.spec_from_file_location("report_snapshot", TOOL)
@@ -30,6 +31,25 @@ def test_records_calls_in_order_and_restores(tmp_path):
     assert (out / "00001.json").read_text() == bounds.report_to_json(first)
     assert (out / "00002.json").read_text() == bounds.report_to_json(second)
     assert len((out / "index.txt").read_text().splitlines()) == 2
+
+
+def test_recorded_inputs_rebuild_the_same_json(tmp_path):
+    # each report's inputs go next to its JSON; H may come as a
+    # SymmetricMatrix, q as a numpy integer and the norm kind as a NormKind
+    rng = np.random.default_rng(4)
+    h = np.diag([1.0, 2.0, 2.0, 5.0, 9.0]) + 1e-3 * np.ones((5, 5))
+    basis = np.linalg.qr(np.eye(5)[:, 1:3] + 1e-2 * rng.standard_normal((5, 2)))[0]
+    with report_snapshot.recording(tmp_path / "snap") as out:
+        bounds.build_report(np.diag([1.0, 3.0]), Subspace(np.eye(2)[:, :1]))
+        bounds.build_report(SymmetricMatrix(h), Subspace(basis), "trace", [1.0, 2.0, 2.0, 5.0], np.int64(2))
+        bounds.build_report(h, subspace=Subspace(basis), norm_kind=NormKind.SPECTRAL)
+    recorded = sorted(out.glob("*.npz"))
+    assert [p.stem for p in recorded] == ["00001", "00002", "00003"]
+    for path in recorded:
+        assert bounds.report_to_json(report_snapshot.rebuild(path)) == path.with_suffix(".json").read_text()
+    with np.load(recorded[0]) as first, np.load(recorded[1]) as second:
+        assert "lambda_ref" not in first and str(first["norm_kind"]) == "frobenius"
+        assert second["lambda_ref"].tolist() == [1.0, 2.0, 2.0, 5.0] and int(second["q"]) == 2
 
 
 def test_diff_lists_moved_values(tmp_path):

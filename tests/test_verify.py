@@ -228,3 +228,54 @@ def test_skewed_fem_defects_are_caught(monkeypatch):
 
     detail = _caught(monkeypatch, "models.fem_table_consistency", models, "etas_moments", skewed)
     assert detail.startswith("N=40:"), detail
+
+
+def test_absolute_gap_is_caught_by_report_scaling(monkeypatch):
+    # |lambda_q - w| without the division by w scales with H, and so does
+    # the cluster bound built on it
+    def absolute(original):
+        def relative_gap_gq(spec_rest, lambda_q):
+            return float(np.abs(lambda_q - np.asarray(spec_rest, dtype=float)).min())
+        return relative_gap_gq
+
+    detail = _caught(monkeypatch, "bounds.scaling_robustness", bounds, "relative_gap_gq", absolute)
+    assert detail.startswith("max relative drift"), detail
+
+
+def test_state_kept_between_reports_is_caught(monkeypatch):
+    # a mutable default argument that gathers the residual quotients of
+    # every report so far: the first report is right, the second is not
+    def accumulating(original):
+        def residual_eta_sandwich(omega_diag_mu, dl, _seen=[]):
+            _seen.extend(np.asarray(omega_diag_mu, dtype=float))
+            return original(_seen, dl)
+        return residual_eta_sandwich
+
+    _caught(monkeypatch, "report.determinism", bounds, "residual_eta_sandwich", accumulating)
+
+
+def test_jittered_factor_is_caught_by_defect_scaling(monkeypatch):
+    # an absolute shift H + 1e-12 I, a common guard for a semidefinite H,
+    # is not scale invariant: at 1e-8 H it moves the smallest eigenvalues
+    # by about 1%
+    def jittered(original):
+        def sorted_cholesky(a, what="matrix"):
+            a = densela._as_array(a)
+            return original(a + 1e-12 * np.eye(len(a)), what=what)
+        return sorted_cholesky
+
+    detail = _caught(monkeypatch, "defect.scaling_robustness", defect, "sorted_cholesky", jittered)
+    assert detail.startswith("max drift over scales"), detail
+
+
+def test_squared_defects_are_caught_by_the_strict_bound(monkeypatch):
+    # eta^2 keeps 0 <= eta_1 <= ... <= eta_m < 1, so only the pencil
+    # (H, H_P), whose extreme eigenvalues are 1 -+ eta_m, tells it apart
+    def squared(original):
+        def etas_schur(split):
+            ds = original(split)
+            return defect.DefectSpectrum(etas=ds.etas**2, route=ds.route)
+        return etas_schur
+
+    detail = _caught(monkeypatch, "defect.eta_bound_strict", defect, "etas_schur", squared)
+    assert detail.startswith("eta_m = ") and "(H, H_P) spans" in detail, detail

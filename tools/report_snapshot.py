@@ -2,7 +2,9 @@
 fixed list of CLI invocations, and diff two snapshots.
 
 As a pytest plugin it writes ``report_to_json`` of each report, in call
-order, to ``DIR/NNNNN.json`` and the test that made it to ``DIR/index.txt``::
+order, to ``DIR/NNNNN.json``, its inputs (H, the basis, ``lambda_ref`` when
+supplied, ``q`` and the norm kind) to ``DIR/NNNNN.npz``, which ``rebuild``
+reads back, and the test that made it to ``DIR/index.txt``::
 
     PYTHONPATH=src python -m pytest -q -p tools.report_snapshot --report-snapshot DIR
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import inspect
 import io
 import json
 import math
@@ -47,6 +50,8 @@ import shlex
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 #: The summary's split: reports whose largest defect in A is above this
 #: are summarized apart from the near-invariant ones at or below it.
@@ -90,7 +95,8 @@ CLI_RECORDS = "cli.json"
 
 @contextlib.contextmanager
 def recording(directory):
-    """Write the JSON of every ``build_report`` call made inside the block.
+    """Write the JSON and the inputs of every ``build_report`` call made
+    inside the block.
 
     Every ``ritzbounds`` module already imported that holds the function
     gets the recording wrapper, so callers that imported it by name are
@@ -105,6 +111,7 @@ def recording(directory):
     if any(out.glob("*.json")):
         raise FileExistsError(f"{out} already holds a snapshot")
     original = bounds.build_report
+    signature = inspect.signature(original)
     count = 0
 
     def build_report(*args, **kwargs):
@@ -113,6 +120,7 @@ def recording(directory):
         count += 1
         name = f"{count:05d}.json"
         (out / name).write_text(bounds.report_to_json(report))
+        _save_inputs(out / f"{count:05d}.npz", signature.bind(*args, **kwargs))
         source = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0]
         with (out / "index.txt").open("a") as index:
             index.write(f"{name} {source}\n")
@@ -130,6 +138,33 @@ def recording(directory):
     finally:
         for mod in patched:
             mod.build_report = original
+
+
+def _save_inputs(path, call):
+    """The arguments of one ``build_report`` call, bound to its signature."""
+    call.apply_defaults()
+    args = call.arguments
+    inputs = {
+        "h": np.asarray(getattr(args["h"], "entries", args["h"]), dtype=float),
+        "basis": args["subspace"].basis,
+        "q": int(args["q"]),
+        "norm_kind": str(getattr(args["norm_kind"], "value", args["norm_kind"])),
+    }
+    if args["lambda_ref"] is not None:
+        inputs["lambda_ref"] = np.asarray(args["lambda_ref"], dtype=float)
+    np.savez(path, **inputs)
+
+
+def rebuild(path):
+    """``build_report`` of the inputs recorded in the ``.npz`` at ``path``."""
+    from ritzbounds.bounds import build_report
+    from ritzbounds.defect import TestSubspace
+
+    with np.load(path) as inputs:
+        lambda_ref = inputs["lambda_ref"] if "lambda_ref" in inputs else None
+        return build_report(
+            inputs["h"], TestSubspace(inputs["basis"]), str(inputs["norm_kind"]), lambda_ref, int(inputs["q"])
+        )
 
 
 def record_cli(directory):
@@ -159,7 +194,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--report-snapshot",
         metavar="DIR",
-        help="write the JSON of every build_report call, in call order, to DIR",
+        help="write the JSON and the inputs of every build_report call, in call order, to DIR",
     )
 
 
