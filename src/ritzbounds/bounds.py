@@ -18,13 +18,20 @@ lambda_i)/mu_i`` of a Ritz cluster:
 * the exactness ratio, which quantifies how close the sandwich lower end
   sits to the true error aggregate.
 
-Every evaluator is a pure formula; hypothesis checking is the caller's
+Every evaluator is a pure formula.  Where its denominator is not positive
+it raises HypothesisError rather than return a meaningless number:
+``cluster_upper_bound`` and ``sandwich_bounds`` on a relative gap <= 0,
+``classical_temple_kato`` when lambda_2 is not above mu,
+``g1_from_spectral_gap`` when lambda_(m+1) is not above mu_m, and
+``abs_cluster_bounds`` when ||K|| reaches lambda_(m+1) - mu_m.  Checking every other hypothesis is the caller's
 business.  ``assemble`` is that caller: from the ``Measurements`` that
 ``measure`` takes of an operator/test-subspace pair, O(m + q) numbers, it
 evaluates all bounds, records one flag per checked hypothesis, marks an
 entry valid when every flag its theorem lists in ``THEOREMS`` holds, and
 never refuses to evaluate a formula just because a hypothesis failed (the
-flag records it instead).  ``build_report`` is ``assemble(measure(...))``.
+flag records it instead); where a formula would raise, it records the
+bound, or a sandwich's upper end, as ``None``.  ``build_report`` is
+``assemble(measure(...))``.
 """
 
 from __future__ import annotations

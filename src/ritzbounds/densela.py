@@ -400,78 +400,53 @@ def read_matrix_text(source) -> np.ndarray:
 
     ``source`` is a path or an open text stream.  Malformed content,
     including a ``nan`` or ``inf`` entry, raises MatrixParseError with the
-    1-based line and token column.
+    1-based line and token column.  Each row is parsed once into a float64
+    array and the rows are stacked once; nothing is sized from the header.
     """
     if isinstance(source, io.TextIOBase):
-        text = source.read()
-        name = getattr(source, "name", "<stream>")
+        name, lines = getattr(source, "name", "<stream>"), source.read().splitlines()
     else:
-        name = str(source)
-        text = Path(source).read_text()
+        name, lines = str(source), Path(source).read_text().splitlines()
 
-    rows: list[list[float]] = []
-    shape: tuple[int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    def error(message, line, column=1, located=True):
+        where = f"{name}:{line}" if located else name
+        return MatrixParseError(f"{where}: {message}", line=line, column=column)
+
+    shape, rows = None, []
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if shape is None:
             if len(tokens) != 2:
-                raise MatrixParseError(
-                    f"{name}:{lineno}: header must be 'n m', got {len(tokens)} tokens",
-                    line=lineno,
-                    column=1,
-                )
+                raise error(f"header must be 'n m', got {len(tokens)} tokens", lineno)
             try:
-                n, m = int(tokens[0]), int(tokens[1])
+                shape = n, m = int(tokens[0]), int(tokens[1])
             except ValueError:
-                raise MatrixParseError(
-                    f"{name}:{lineno}: header dimensions must be integers",
-                    line=lineno,
-                    column=1,
-                ) from None
+                raise error("header dimensions must be integers", lineno) from None
             if n < 0 or m < 0:
-                raise MatrixParseError(
-                    f"{name}:{lineno}: dimensions must be nonnegative", line=lineno, column=1
-                )
-            shape = (n, m)
+                raise error("dimensions must be nonnegative", lineno)
             continue
-        if len(tokens) != shape[1]:
-            raise MatrixParseError(
-                f"{name}:{lineno}: expected {shape[1]} values, got {len(tokens)}",
-                line=lineno,
-                column=len(tokens),
-            )
-        row = []
-        for col, tok in enumerate(tokens, start=1):
-            try:
-                value = float(tok)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise MatrixParseError(
-                    f"{name}:{lineno}: bad value {tok!r} at column {col}",
-                    line=lineno,
-                    column=col,
-                )
-            row.append(value)
+        if len(tokens) != m:
+            raise error(f"expected {m} values, got {len(tokens)}", lineno, len(tokens))
+        try:
+            row = np.array(list(map(float, tokens)))
+        except ValueError:
+            row = None
+        if row is None or not np.isfinite(row).all():
+            for col, tok in enumerate(tokens, start=1):
+                try:
+                    if math.isfinite(float(tok)):
+                        continue
+                except ValueError:
+                    pass
+                raise error(f"bad value {tok!r} at column {col}", lineno, col)
         rows.append(row)
-        if len(rows) > shape[0]:
-            raise MatrixParseError(
-                f"{name}:{lineno}: more than the declared {shape[0]} rows",
-                line=lineno,
-                column=1,
-            )
+        if len(rows) > n:
+            raise error(f"more than the declared {n} rows", lineno)
     if shape is None:
-        raise MatrixParseError(f"{name}: empty file", line=1, column=1)
+        raise error("empty file", 1, located=False)
     # a row of m = 0 values is a blank line, which is skipped like a comment
-    if shape[1] and len(rows) != shape[0]:
-        raise MatrixParseError(
-            f"{name}: declared {shape[0]} rows but found {len(rows)}",
-            line=len(text.splitlines()),
-            column=1,
-        )
-    if shape[0] == 0 or shape[1] == 0:
-        return np.empty(shape)
-    return np.asarray(rows, dtype=float)
+    if m and len(rows) != n:
+        raise error(f"declared {n} rows but found {len(rows)}", len(lines), located=False)
+    return np.array(rows).reshape(shape)

@@ -416,6 +416,25 @@ class TestMatrixText:
         assert a.shape == shape and a.dtype == float
         assert read_matrix_text(io.StringIO("3 0\n# no values\n\n")).shape == (3, 0)
 
+    @pytest.mark.parametrize("text, line", [("1 2\n1 2\n3 oops\n", 3), ("0 2\n1 oops\n", 2)])
+    def test_bad_value_on_a_surplus_row_comes_before_the_row_count(self, text, line):
+        with pytest.raises(MatrixParseError) as err:
+            read_matrix_text(io.StringIO(text))
+        assert (err.value.line, err.value.column) == (line, 2)
+        assert str(err.value) == f"<stream>:{line}: bad value 'oops' at column 2"
+
+    def test_lines_end_where_str_splitlines_ends_them(self):
+        # a form feed ends a row
+        assert read_matrix_text(io.StringIO("2 2\n1 2\x0c3 4\n")).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (4, 3)])
+    def test_result_is_a_writable_c_contiguous_float64_array(self, shape, tmp_path):
+        path = tmp_path / "m.txt"
+        write_matrix_text(path, np.arange(float(np.prod(shape))).reshape(shape))
+        a = read_matrix_text(path)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.writeable and a.flags.c_contiguous
+
 
 def graded_upper(k):
     """The transposed sorted Cholesky factor of ``D A D`` with D spanning 24

@@ -52,6 +52,16 @@ def test_recorded_inputs_rebuild_the_same_json(tmp_path):
         assert second["lambda_ref"].tolist() == [1.0, 2.0, 2.0, 5.0] and int(second["q"]) == 2
 
 
+def test_recording_inside_a_recording_records_in_both(tmp_path):
+    # as when the suite runs under the plugin and a test opens its own
+    with report_snapshot.recording(tmp_path / "outer") as outer:
+        with report_snapshot.recording(tmp_path / "inner") as inner:
+            text = bounds.report_to_json(_report(0.0))
+    for out in (outer, inner):
+        assert (out / "00001.json").read_text() == text
+        assert bounds.report_to_json(report_snapshot.rebuild(out / "00001.npz")) == text
+
+
 def test_diff_lists_moved_values(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     with report_snapshot.recording(a):
@@ -145,3 +155,34 @@ def test_cli_records_diff_to_zero_and_a_changed_byte_is_reported(tmp_path):
     assert lines[0] == "cli kappa-demo: exit 0 -> 0"
     assert sum(line.startswith(("-", "+")) and "e+0" in line for line in lines) == 2
     assert lines[-1] == f"{n - 1} of {n} CLI invocations byte-identical, 1 differ"
+
+
+def test_cli_records_run_bounds_on_every_reader_error_and_report_a_changed_byte(tmp_path):
+    # the bounds runs read files written under DIR/inputs and run from DIR,
+    # so every message names them alike in two snapshots
+    a, b = tmp_path / "a", tmp_path / "b"
+    report_snapshot.record_cli(a)
+    records = json.loads((a / "cli.json").read_text())
+    runs = {r["argv"][2]: r for r in records if r["argv"][0] == "bounds" and len(r["argv"]) == 5}
+    errors = [name for name in report_snapshot.CLI_INPUTS if name not in ("h.txt", "u.txt")]
+    assert sorted(runs) == sorted([f"inputs/{name}" for name in errors] + ["inputs/missing.txt"])
+    assert all(runs[f"inputs/{name}"]["exit"] == 4 for name in errors)
+    assert runs["inputs/missing.txt"]["stderr"] == "error: input file not found: inputs/missing.txt\n"
+    assert runs["inputs/overstated_n.txt"]["stderr"] == (
+        "error: inputs/overstated_n.txt: declared 1000000000000 rows but found 1\n"
+    )
+    valid = [r for r in records if r["argv"][:5] == list(report_snapshot._BOUNDS)]
+    assert [r["argv"][5:] for r in valid] == [["--format", f] for f in ("json", "csv", "table")] + [["--strict"]]
+    assert [r["exit"] for r in valid[:3]] == [0, 0, 0] and json.loads(valid[0]["stdout"])["n"] == 6
+
+    runs["inputs/overstated_n.txt"]["stderr"] = runs["inputs/overstated_n.txt"]["stderr"].replace("found 1", "found 2")
+    b.mkdir()
+    (b / "cli.json").write_text(json.dumps(records))
+    out = io.StringIO()
+    assert report_snapshot.diff(a, b, out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "cli bounds --matrix inputs/overstated_n.txt --subspace inputs/u.txt: exit 4 -> 4"
+    assert [line for line in lines if line.startswith(("-e", "+e"))] == [
+        "-error: inputs/overstated_n.txt: declared 1000000000000 rows but found 1",
+        "+error: inputs/overstated_n.txt: declared 1000000000000 rows but found 2",
+    ]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,13 @@ from ritzbounds import bounds, cli, defect, densela, models, verify
 def test_registered_property(name):
     (result,) = verify.run_checks(names=[name])
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_check_holds_at_seeds_0_to_9(seed):
+    # the README documents --seed for any integer >= 0
+    failed = [r for r in verify.run_checks(seed=seed) if not r.passed]
+    assert not failed, failed
 
 
 def test_unknown_check_rejected():
@@ -279,3 +288,114 @@ def test_squared_defects_are_caught_by_the_strict_bound(monkeypatch):
 
     detail = _caught(monkeypatch, "defect.eta_bound_strict", defect, "etas_schur", squared)
     assert detail.startswith("eta_m = ") and "(H, H_P) spans" in detail, detail
+
+
+def test_absolute_shift_of_the_reference_spectrum_is_caught(monkeypatch):
+    # lambda + 1e-12 does not scale with H; the report check takes its
+    # reference values from H, so at 1e-8 H the shift reaches the gaps
+    detail = _caught(monkeypatch, "bounds.scaling_robustness", bounds, "_lowest_eigenvalues",
+                     lambda original: lambda split, count: original(split, count) + 1e-12)
+    assert detail.startswith("max relative drift"), detail
+
+
+def test_unseeded_reference_spectrum_is_caught(monkeypatch):
+    # 1 + 1e-9 u with u from an unseeded generator: every report prints
+    # other reference values
+    def jittered(original):
+        rng = np.random.default_rng()
+
+        def _lowest_eigenvalues(split, count):
+            values = original(split, count)
+            return values * (1.0 + 1e-9 * rng.random(len(values)))
+        return _lowest_eigenvalues
+
+    _caught(monkeypatch, "report.determinism", bounds, "_lowest_eigenvalues", jittered)
+
+
+def test_norms_from_column_norms_are_caught(monkeypatch):
+    # the columns' 2-norms in place of the singular values do not change
+    # under a rotation from the left, but do under one from the right
+    detail = _caught(monkeypatch, "densela.unitary_invariance", densela, "singular_values",
+                     lambda original: lambda a: np.sort(np.linalg.norm(np.asarray(a, dtype=float), axis=0))[::-1])
+    assert detail.startswith("max relative drift"), detail
+
+
+def test_frobenius_norm_without_its_root_is_caught(monkeypatch):
+    # the sum of squares is unitary invariant but grows quadratically, so
+    # only submultiplicativity tells it apart
+    def squared(original):
+        def values_norm(values, kind):
+            if densela.NormKind.coerce(kind) is densela.NormKind.FROBENIUS:
+                return float(np.sum(np.square(values)))
+            return original(values, kind)
+        return values_norm
+
+    detail = _caught(monkeypatch, "densela.triple_submultiplicative", densela, "values_norm", squared)
+    assert detail.endswith("for frobenius"), detail
+
+
+def test_eigenvalues_from_the_svd_of_an_indefinite_matrix_are_caught(monkeypatch):
+    # the singular values are the eigenvalues' magnitudes: right only for
+    # a positive semidefinite matrix
+    def from_svd(original):
+        def sym_eig(a):
+            return np.sort(densela.singular_values(a)), original(a)[1]
+        return sym_eig
+
+    detail = _caught(monkeypatch, "densela.eig_closed_form_2x2", densela, "sym_eig", from_svd)
+    assert detail.startswith("max deviation"), detail
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda rd, basis: defect.RitzData(mu=rd.mu[::-1].copy(), vectors=rd.vectors),
+    lambda rd, basis: defect.RitzData(mu=0.5 * rd.mu, vectors=rd.vectors),
+    lambda rd, basis: defect.RitzData(mu=rd.mu, vectors=basis),
+], ids=["reversed", "halved", "unrotated"])
+def test_wrong_ritz_pairs_are_caught_by_galerkin_monotonicity(monkeypatch, mutation):
+    # each keeps (f, H^-1 f) >= (f, H_P^-1 f) on these draws; the Ritz form
+    # no longer matches the direct solve
+    def wrong(original):
+        return lambda h, subspace: mutation(original(h, subspace), subspace.basis)
+
+    detail = _caught(monkeypatch, "defect.galerkin_monotonicity", defect, "ritz", wrong)
+    assert "Ritz form off the direct solve" in detail and "violated" not in detail, detail
+
+
+def test_complement_through_the_magnitudes_of_b_is_caught(monkeypatch):
+    # B^-1 from |eigenvalues| is right only for a definite B; these B are
+    # indefinite
+    def magnitudes(original):
+        def sym_eig(b):
+            values, vectors = original(b)
+            return np.abs(values), vectors
+        return sym_eig
+
+    detail = _caught(monkeypatch, "defect.wilkinson_zero_complement", defect, "sym_eig", magnitudes)
+    assert detail.startswith("max relative complement norm"), detail
+
+
+def test_defect_in_place_of_its_square_is_caught(monkeypatch):
+    detail = _caught(monkeypatch, "models.schrodinger_sandwich", models, "schrodinger_eta2",
+                     lambda original: lambda kappa: math.sqrt(original(kappa)))
+    assert detail.startswith("kappa=5: "), detail
+
+
+def test_expansion_without_its_fourth_term_is_caught(monkeypatch):
+    # the kappa^-4 term is about 2e-11 at kappa = 1000, the remainder 7e-14
+    def three_terms(original):
+        def schrodinger_taylor(kappa):
+            c3 = 8.0 * (0.5 + math.pi**2 / 24.0)
+            return ((c3 / kappa - 3.0) / kappa + 2.0) / kappa
+        return schrodinger_taylor
+
+    detail = _caught(monkeypatch, "models.schrodinger_taylor_agreement", models, "schrodinger_taylor", three_terms)
+    assert detail.startswith("|bisection - series| = 2."), detail
+
+
+def test_unseeded_matching_root_is_caught(monkeypatch):
+    # a bisection started from a random point stops at another double
+    def jittered(original):
+        rng = np.random.default_rng()
+        return lambda kappa, q: original(kappa, q) * (1.0 + 1e-12 * rng.random())
+
+    _caught(monkeypatch, "models.determinism", models, "_matching_offset", jittered)

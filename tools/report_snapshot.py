@@ -28,8 +28,10 @@ value.
 
     PYTHONPATH=src python tools/report_snapshot.py cli DIR
 
-runs every argv of ``CLI_INVOCATIONS`` in-process through ``cli.main``
-and writes its exit code, stdout and stderr to ``DIR/cli.json``.  When
+writes the files of ``CLI_INPUTS`` under ``DIR/inputs``, runs every argv
+of ``CLI_INVOCATIONS`` in-process through ``cli.main`` from ``DIR``, so
+that the ``bounds`` runs name their files alike in every snapshot, and
+writes its exit code, stdout and stderr to ``DIR/cli.json``.  When
 either snapshot holds that file, ``diff`` also compares the invocations,
 paired by argv, prints each one whose exit code or output differs, and
 counts it as a difference.
@@ -57,9 +59,29 @@ import numpy as np
 #: are summarized apart from the near-invariant ones at or below it.
 WELL_CONDITIONED_ETA = 1e-8
 
-#: The argv lists ``cli DIR`` runs, in order: every subcommand but
-#: ``bounds`` (which reads files; the report snapshot covers it), its
-#: formats, error exits and negative numbers in e-notation.
+#: The files the ``bounds`` runs read, relative to ``DIR/inputs``: a 6 x 6
+#: operator, a 2-column orthonormal basis and one matrix per reader error.
+CLI_INPUTS = {
+    "h.txt": "# tridiagonal\n6 6\n2 0.5 0 0 0 0\n0.5 3 0.5 0 0 0\n0 0.5 5 0.5 0 0\n"
+    "0 0 0.5 7 0.5 0\n0 0 0 0.5 11 0.5\n0 0 0 0 0.5 13\n",
+    "u.txt": "6 2\n1 0\n0 1\n0 0\n0 0\n0 0\n0 0\n",
+    "header_3_tokens.txt": "2 2 2\n1 0\n0 1\n",
+    "header_not_integer.txt": "2 2.0\n1 0\n0 1\n",
+    "negative_dimension.txt": "2 -2\n",
+    "short_row.txt": "2 2\n1 0\n0\n",
+    "nan_entry.txt": "2 2\n1 0\n0 nan\n",
+    "overflow_entry.txt": "2 2\n1 0\n0 1e999\n",
+    "surplus_row.txt": "1 2\n1 0\n\n0 1\n",
+    "surplus_row_bad_token.txt": "1 2\n1 0\n0 oops\n",
+    "overstated_n.txt": "1000000000000 2\n1 0\n# end\n",
+    "comments_only.txt": "# nothing\n\n# but comments\n",
+}
+
+_BOUNDS = ("bounds", "--matrix", "inputs/h.txt", "--subspace", "inputs/u.txt")
+
+#: The argv lists ``cli DIR`` runs, in order: every subcommand, its
+#: formats, error exits and negative numbers in e-notation; ``bounds`` on
+#: each reader error of ``CLI_INPUTS`` and on a missing file.
 CLI_INVOCATIONS = (
     ("kappa-demo",),
     ("kappa-demo", "--format", "csv", "--kappas", "10,1e3,1e7,1e9,1e150,1.3e154"),
@@ -83,6 +105,16 @@ CLI_INVOCATIONS = (
     ("verify",),
     ("verify", "--seed", "0"),
     ("verify", "--seed", "5"),
+    _BOUNDS + ("--format", "json"),
+    _BOUNDS + ("--format", "csv"),
+    _BOUNDS + ("--format", "table"),
+    _BOUNDS + ("--strict",),
+    *(
+        ("bounds", "--matrix", f"inputs/{name}", "--subspace", "inputs/u.txt")
+        for name in CLI_INPUTS
+        if name not in ("h.txt", "u.txt")
+    ),
+    ("bounds", "--matrix", "inputs/missing.txt", "--subspace", "inputs/u.txt"),
 )
 
 #: The file of a ``cli DIR`` snapshot.
@@ -126,6 +158,10 @@ def recording(directory):
             index.write(f"{name} {source}\n")
         return report
 
+    # a recording opened inside this one binds the arguments to this
+    # signature; not functools.wraps, since perfbench's tests take a
+    # ``__wrapped__`` left on build_report for a tracer not removed
+    build_report.__signature__ = signature
     patched = [
         mod
         for name, mod in list(sys.modules.items())
@@ -168,25 +204,34 @@ def rebuild(path):
 
 
 def record_cli(directory):
-    """Run each argv of ``CLI_INVOCATIONS`` through ``cli.main`` and write
+    """Write ``CLI_INPUTS`` under ``DIR/inputs``, run each argv of
+    ``CLI_INVOCATIONS`` through ``cli.main`` from ``DIR`` and write
     ``DIR/cli.json``: its exit code, stdout and stderr per invocation."""
     from ritzbounds import cli
 
-    path = Path(directory) / CLI_RECORDS
+    directory = Path(directory)
+    path = directory / CLI_RECORDS
     if path.exists():
         raise FileExistsError(f"{path} already exists")
+    (directory / "inputs").mkdir(parents=True, exist_ok=True)
+    for name, text in CLI_INPUTS.items():
+        (directory / "inputs" / name).write_text(text)
     records = []
-    for argv in CLI_INVOCATIONS:
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-        records.append(
-            {"argv": list(argv), "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
-        )
-    path.parent.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv in CLI_INVOCATIONS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            records.append(
+                {"argv": list(argv), "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+            )
+    finally:
+        os.chdir(cwd)
     path.write_text(json.dumps(records, indent=1) + "\n")
 
 
