@@ -1,8 +1,10 @@
 """Relative and absolute a-posteriori eigenvalue bounds.
 
-The functions here turn the defect spectrum and gap information into
-two-sided estimates for the relative eigenvalue errors ``(mu_i -
-lambda_i)/mu_i`` of a Ritz cluster:
+This module bounds and ``ritzbounds.defect`` measures: every number taken
+of H and the test subspace comes from ``defect.measure`` as a small
+``Measurements`` record, and the functions here turn such numbers, the
+defect spectrum and gap information, into two-sided estimates for the
+relative eigenvalue errors ``(mu_i - lambda_i)/mu_i`` of a Ritz cluster:
 
 * first-order localization, ``(1 - eta_m) mu <= lambda <= (1 + eta_m) mu``,
   which ``assemble`` writes as the relative interval ``(-eta_m, eta_m)``,
@@ -11,27 +13,25 @@ lambda_i)/mu_i`` of a Ritz cluster:
 * the two-sided sandwich ``|||diag(eta^2)||| <= |||I - lambda Xi^{-1}|||
   <= (1/g_1) |||diag(eta^2)|||`` together with its trace form,
 * the diagonal-residual sandwich for ``sum eta_i^2``,
-* the trace lower bound built from the per-vector residual quotients,
+* the trace lower bound built from the per-vector residual quotients, and
 * the classical residual/gap inequalities in the unscaled geometry
   (single-vector lower bound and the absolute cluster bound), kept for
-  comparison, and
-* the exactness ratio, which quantifies how close the sandwich lower end
-  sits to the true error aggregate.
+  comparison.
 
 Every evaluator is a pure formula.  Where its denominator is not positive
 it raises HypothesisError rather than return a meaningless number:
 ``cluster_upper_bound`` and ``sandwich_bounds`` on a relative gap <= 0,
 ``classical_temple_kato`` when lambda_2 is not above mu,
 ``g1_from_spectral_gap`` when lambda_(m+1) is not above mu_m, and
-``abs_cluster_bounds`` when ||K|| reaches lambda_(m+1) - mu_m.  Checking every other hypothesis is the caller's
-business.  ``assemble`` is that caller: from the ``Measurements`` that
-``measure`` takes of an operator/test-subspace pair, O(m + q) numbers, it
-evaluates all bounds, records one flag per checked hypothesis, marks an
-entry valid when every flag its theorem lists in ``THEOREMS`` holds, and
-never refuses to evaluate a formula just because a hypothesis failed (the
-flag records it instead); where a formula would raise, it records the
-bound, or a sandwich's upper end, as ``None``.  ``build_report`` is
-``assemble(measure(...))``.
+``abs_cluster_bounds`` when ||K|| reaches lambda_(m+1) - mu_m.  Checking
+every other hypothesis is the caller's business.  ``assemble`` is that
+caller: from the ``Measurements`` of an operator/test-subspace pair,
+O(m + q) numbers, it evaluates all bounds, records one flag per checked
+hypothesis, marks an entry valid when every flag its theorem lists in
+``THEOREMS`` holds, and never refuses to evaluate a formula just because
+a hypothesis failed (the flag records it instead); where a formula would
+raise, it records the bound, or a sandwich's upper end, as ``None``.
+``build_report`` is ``assemble(measure(...))``.
 """
 
 from __future__ import annotations
@@ -43,18 +43,9 @@ from json.encoder import encode_basestring_ascii as _json_quote
 
 import numpy as np
 
-from .defect import (
-    DefectSpectrum,
-    SplitOperator,
-    TestSubspace,
-    _lowest_eigenvalues,
-    _resolvent_term,
-    etas_residual,
-    etas_schur,
-    p_diagonal_split,
-)
-from .densela import _EPS, NormKind, as_symmetric, ui_norm, values_norm
-from .errors import HypothesisError, SingularOperatorError
+from .defect import DefectSpectrum, Measurements, TestSubspace, measure
+from .densela import NormKind, as_symmetric, ui_norm, values_norm
+from .errors import HypothesisError
 
 INF = float("inf")
 
@@ -263,30 +254,6 @@ def _abs_cluster(kind: NormKind, spectral, squares, mu_m, lambda_mp1) -> float:
     return (spectral if kind is NormKind.SPECTRAL else math.sqrt(squares)) * spectral / (gap - spectral)
 
 
-def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
-    """Ratio of the true error aggregate to the defect aggregate.
-
-    Evaluates ``1 + tr(lambda_q K_s^T (W - lambda_q)^{-1} K_s) / sum
-    eta_i^2``, which equals ``[sum_i (mu_i - lambda_q)/mu_i] / [sum
-    eta_i^2]`` when lambda_q is the exact cluster eigenvalue of full
-    multiplicity.  The correction term comes from the leading block
-    ``S11``, W^-1 in a basis of the complement, of the split's inverse
-    Gram (see ``defect._resolvent_term``).  Tends to 1 as the complement
-    block grows away from lambda_q.
-    """
-    lam = float(lambda_q)
-    sum_sq = float((split.k_s**2).sum())
-    if sum_sq <= 1e-28:
-        # defects at rounding level: the subspace is invariant for all
-        # practical purposes and the quotient is pure noise
-        raise SingularOperatorError(
-            "exactness ratio is undefined for an invariant subspace "
-            "(zero defect)"
-        )
-    correction = float(_resolvent_term(split, lam).trace())
-    return 1.0 + correction / sum_sq
-
-
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
@@ -350,33 +317,6 @@ class BoundReport:
     aggregates: dict
 
 
-@dataclass(frozen=True)
-class Measurements:
-    """What a report reads of H and the subspace, O(m + q) numbers that
-    ``measure`` takes for ``assemble``.  ``lambda_ref`` is ``lambda_1..
-    lambda_min(n, q+m+1)``, ``w_values`` the q smallest eigenvalues of W,
-    ``mu_1_rounding`` ``n eps |u_1|^T |H| |u_1|``, the a-priori rounding
-    bound of ``mu_1 = u_1^T H u_1``, ``r_spectral`` the spectral norm of
-    ``R = H U - U M``, and ``r0_squares`` and ``r_squares`` the squared
-    sums of its column 0 and of all of it.
-    """
-
-    n: int
-    q: int
-    mu: np.ndarray
-    schur: DefectSpectrum
-    moments: DefectSpectrum
-    dl: float
-    ratios: np.ndarray
-    lambda_ref: np.ndarray
-    w_values: np.ndarray
-    mu_1_rounding: float
-    r0_squares: float
-    r_spectral: float
-    r_squares: float
-    exactness_ratio: float | None
-
-
 def _finite_or_none(x):
     return None if x is None or not math.isfinite(x) else float(x)
 
@@ -386,34 +326,6 @@ def _routes_agree(schur: DefectSpectrum, moments: DefectSpectrum, n: int) -> boo
     k = min(schur.m, n - schur.m)
     a, b = schur.etas[-k:], moments.etas[-k:]
     return bool((np.abs(a - b) <= ROUTES_RTOL * np.maximum(a, b) + ROUTES_ATOL).all())
-
-
-def measure(h, subspace: TestSubspace, lambda_ref, q: int) -> Measurements:
-    """Every step of a report that reads H, the basis or an n-sized array:
-    the split, both defect routes, the ``min(n, q+m+1)`` lowest reference
-    values unless ``lambda_ref`` supplies them (``_lowest_eigenvalues``),
-    ``w_1..w_q``, which by interlacing (``w_q >= lambda_q``) hold the w
-    nearest lambda_q and lambda_1 in relative distance, and the exactness
-    ratio at lambda_q.  ``build_report`` checks the arguments.
-    """
-    hm = as_symmetric(h)
-    split = p_diagonal_split(hm, subspace)
-    schur = etas_schur(split)
-    moments, dl, ratios = etas_residual(split)
-    if lambda_ref is None:
-        lambda_ref = _lowest_eigenvalues(split, q + split.m + 1)
-    try:
-        exact_ratio = exactness_ratio(split, float(lambda_ref[q - 1]))
-    except SingularOperatorError:
-        exact_ratio = None
-    u_1, r = np.abs(split.ritz.vectors[:, 0]), split.residual
-    return Measurements(
-        n=hm.n, q=q, mu=split.mu, schur=schur, moments=moments, dl=dl, ratios=ratios,
-        lambda_ref=lambda_ref[: q + split.m + 1].copy(), w_values=1.0 / split.s11_values[:q],
-        mu_1_rounding=hm.n * _EPS * float(u_1 @ np.abs(hm.entries) @ u_1),
-        r0_squares=float(r[:, 0] @ r[:, 0]), r_spectral=ui_norm(r, NormKind.SPECTRAL),
-        r_squares=float((r * r).sum()), exactness_ratio=exact_ratio,
-    )
 
 
 def assemble(meas: Measurements, norm_kind) -> BoundReport:
@@ -688,30 +600,24 @@ def format_report_table(report: BoundReport) -> str:
         "",
         "Ritz values and defects:",
         "  i        mu_i          eta_i",
-    ]
-    for i, (mu_i, eta_i) in enumerate(zip(report.mu, report.etas), start=1):
-        lines.append(f"  {i:<3d}  {fmt(mu_i)}  {fmt(eta_i)}")
-    lines.append("")
-    lines.append("gap data:")
-    lines.append(
+        *(f"  {i:<3d}  {fmt(mu_i)}  {fmt(eta_i)}" for i, (mu_i, eta_i) in enumerate(zip(report.mu, report.etas), 1)),
+        "",
+        "gap data:",
         f"  g_q={fmt(report.gaps.g_q)}  gamma_s={fmt(report.gaps.gamma_s)}  "
-        f"lambda_(q-1)={fmt(report.gaps.lambda_qm1)}  "
-        f"lambda_(q+m)={fmt(report.gaps.lambda_qpm)}"
-    )
-    lines.append("")
-    lines.append("aggregates:")
-    for key in sorted(report.aggregates):
-        lines.append(f"  {key:<22s} {fmt(report.aggregates[key])}")
-    lines.append("")
-    lines.append("hypothesis flags:")
-    for key in sorted(report.flags):
-        lines.append(f"  {key:<22s} {'ok' if report.flags[key] else 'FAILED'}")
-    lines.append("")
-    lines.append("per-eigenvalue intervals for (mu_i - lambda_i)/mu_i:")
-    lines.append("  i    theorem        lower         upper        valid")
-    for e in report.entries:
-        lines.append(
+        f"lambda_(q-1)={fmt(report.gaps.lambda_qm1)}  lambda_(q+m)={fmt(report.gaps.lambda_qpm)}",
+        "",
+        "aggregates:",
+        *(f"  {key:<22s} {fmt(report.aggregates[key])}" for key in sorted(report.aggregates)),
+        "",
+        "hypothesis flags:",
+        *(f"  {key:<22s} {'ok' if report.flags[key] else 'FAILED'}" for key in sorted(report.flags)),
+        "",
+        "per-eigenvalue intervals for (mu_i - lambda_i)/mu_i:",
+        "  i    theorem        lower         upper        valid",
+        *(
             f"  {e.index:<3d}  {e.theorem:<12s} {fmt(e.lower):>12s}  "
             f"{fmt(e.upper):>12s}  {'ok' if e.valid else 'FAILED'}"
-        )
+            for e in report.entries
+        ),
+    ]
     return "\n".join(lines) + "\n"

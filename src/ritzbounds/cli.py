@@ -77,13 +77,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _text_table(columns, rows) -> str:
-    width = 12
-    header = "  ".join(f"{c:>{width}s}" for c in columns)
-    lines = [header]
-    for row in rows:
-        cells = [f"{v:.4e}" if isinstance(v, float) else str(v) for v in row]
-        lines.append("  ".join(f"{c:>{width}s}" for c in cells))
-    return "\n".join(lines) + "\n"
+    lines = [columns, *([f"{v:.4e}" if isinstance(v, float) else str(v) for v in row] for row in rows)]
+    return "".join("  ".join(f"{c:>12s}" for c in line) + "\n" for line in lines)
 
 
 def _print_table(args, columns, rows, notes=()) -> int:
@@ -182,28 +177,15 @@ def _cmd_bounds(args, parser) -> int:
     except FileNotFoundError as exc:
         print(f"error: input file not found: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except MatrixParseError as exc:
+    except (MatrixParseError, NotPositiveDefiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PD
-
-    if args.format == "json":
-        _emit(report_to_json(report), args.out)
-    elif args.format == "csv":
-        _emit(report_to_csv(report), args.out)
-    else:
-        _emit(format_report_table(report), args.out)
-
-    if args.strict:
-        failed = sorted(name for name, ok in report.flags.items() if not ok)
-        if failed:
-            print(
-                f"hypothesis failure under --strict: {', '.join(failed)}",
-                file=sys.stderr,
-            )
-            return EXIT_HYPOTHESIS
+        return EXIT_PARSE_ERROR if isinstance(exc, MatrixParseError) else EXIT_NOT_PD
+    write = {"json": report_to_json, "csv": report_to_csv, "table": format_report_table}[args.format]
+    _emit(write(report), args.out)
+    failed = sorted(name for name, ok in report.flags.items() if not ok)
+    if args.strict and failed:
+        print(f"hypothesis failure under --strict: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     return EXIT_OK
 
 

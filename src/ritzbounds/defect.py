@@ -23,6 +23,10 @@ report and ``verify`` cross-check the two.  For Ritz vectors ``Psi = M^-1
 + Omega``, ``M = diag(mu)``, and ``Z^T Z = M^{1/2} Omega M^{1/2}`` for Z,
 the residual block ``H U - U M`` solved by ``_scaled_residual``, so the
 squared defects are ``s^2 / (1 + s^2)`` for the singular values s of Z.
+
+This module measures and ``ritzbounds.bounds`` bounds: ``measure`` takes
+every number a report reads of H and the subspace into a small, read-only
+``Measurements`` record, which ``bounds.assemble`` turns into the report.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densela import (
+    NormKind,
     SymmetricMatrix,
     _EPS,
     _inv_upper,
@@ -44,6 +49,7 @@ from .densela import (
     singular_values,
     sorted_cholesky,
     sym_eig,
+    ui_norm,
 )
 from .errors import NotPositiveDefiniteError, SingularOperatorError
 
@@ -60,6 +66,23 @@ SPREAD = 64.0
 #: ``TestSubspace.from_columns`` warns when orthonormalization moves an
 #: entry of the spanning columns by more than this.
 ORTHONORMALIZATION_WARN = 1e-8
+
+
+def _read_only(a) -> np.ndarray:
+    """``a`` when it is read-only, else a read-only view of it, so that an
+    array a caller passes in keeps its flags; the library's own arrays are
+    marked read-only in place where they are built."""
+    a = np.asarray(a)
+    if a.flags.writeable:
+        a = a.view()
+        a.setflags(write=False)
+    return a
+
+
+def _freeze(record, *names) -> None:
+    """Store the named array fields of a frozen record ``_read_only``."""
+    for name in names:
+        object.__setattr__(record, name, _read_only(getattr(record, name)))
 
 
 def _check_shape(basis: np.ndarray) -> None:
@@ -133,9 +156,8 @@ class RitzData:
     mu: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return len(self.mu)
+    def __post_init__(self):
+        _freeze(self, "mu", "vectors")
 
 
 @dataclass(frozen=True)
@@ -198,6 +220,10 @@ class SplitOperator:
     inv_gram: np.ndarray = field(repr=False)
     h_factor: tuple = field(repr=False)
 
+    def __post_init__(self):
+        _freeze(self, "k_s", "residual", "s11_values", "inv_gram")
+        object.__setattr__(self, "h_factor", tuple(map(_read_only, self.h_factor)))
+
     @property
     def w_values(self) -> np.ndarray:
         return 1.0 / self.s11_values
@@ -240,6 +266,8 @@ def ritz(h, subspace: TestSubspace) -> RitzData:
             eigenvalue=mu[0],
         )
     vectors = b @ y
+    for a in (mu, vectors):
+        a.setflags(write=False)
     return RitzData(mu=mu, vectors=vectors)
 
 
@@ -283,9 +311,12 @@ def p_diagonal_split(h, subspace: TestSubspace) -> SplitOperator:
     del r
     s = x.T @ x
     del x
+    residual = hm.entries @ u - u * rd.mu
+    s11_values = _lapack(np.linalg.eigvalsh, s[:k, :k])[::-1]
+    for a in (k_s, residual, s11_values, s, *h_factor):
+        a.setflags(write=False)
     return SplitOperator(
-        k_s=k_s, residual=hm.entries @ u - u * rd.mu, ritz=rd,
-        s11_values=_lapack(np.linalg.eigvalsh, s[:k, :k])[::-1], inv_gram=s, h_factor=h_factor,
+        k_s=k_s, residual=residual, ritz=rd, s11_values=s11_values, inv_gram=s, h_factor=h_factor,
     )
 
 
@@ -451,6 +482,30 @@ def _resolvent_term(split: SplitOperator, lambda_q: float) -> np.ndarray:
     return lambda_q * (split.k_s.T @ np.linalg.solve(a, s11 @ split.k_s))
 
 
+def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
+    """Ratio of the true error aggregate to the defect aggregate.
+
+    Evaluates ``1 + tr(lambda_q K_s^T (W - lambda_q)^{-1} K_s) / sum
+    eta_i^2``, which equals ``[sum_i (mu_i - lambda_q)/mu_i] / [sum
+    eta_i^2]`` when lambda_q is the exact cluster eigenvalue of full
+    multiplicity.  The correction term comes from the leading block
+    ``S11``, W^-1 in a basis of the complement, of the split's inverse
+    Gram (see ``_resolvent_term``).  Tends to 1 as the complement block
+    grows away from lambda_q.
+    """
+    lam = float(lambda_q)
+    sum_sq = float((split.k_s**2).sum())
+    if sum_sq <= 1e-28:
+        # defects at rounding level: the subspace is invariant for all
+        # practical purposes and the quotient is pure noise
+        raise SingularOperatorError(
+            "exactness ratio is undefined for an invariant subspace "
+            "(zero defect)"
+        )
+    correction = float(_resolvent_term(split, lam).trace())
+    return 1.0 + correction / sum_sq
+
+
 def relative_residual_identity(split: SplitOperator, rd: RitzData, lambda_q: float):
     """Both sides of the exact relative block-residual identity.
 
@@ -467,3 +522,64 @@ def relative_residual_identity(split: SplitOperator, rd: RitzData, lambda_q: flo
     rhs = 0.5 * (rhs + rhs.T)
     defect = float(np.sqrt(((lhs - rhs) ** 2).sum()))
     return SymmetricMatrix(lhs), SymmetricMatrix(rhs), defect
+
+
+@dataclass(frozen=True)
+class Measurements:
+    """What a report reads of H and the subspace, O(m + q) numbers that
+    ``measure`` takes for ``bounds.assemble``.  ``lambda_ref`` is
+    ``lambda_1..lambda_min(n, q+m+1)``, ``w_values`` the q smallest
+    eigenvalues of W, ``mu_1_rounding`` ``n eps |u_1|^T |H| |u_1|``, the
+    a-priori rounding bound of ``mu_1 = u_1^T H u_1``, ``r_spectral`` the
+    spectral norm of ``R = H U - U M``, and ``r0_squares`` and
+    ``r_squares`` the squared sums of its column 0 and of all of it.
+    """
+
+    n: int
+    q: int
+    mu: np.ndarray
+    schur: DefectSpectrum
+    moments: DefectSpectrum
+    dl: float
+    ratios: np.ndarray
+    lambda_ref: np.ndarray
+    w_values: np.ndarray
+    mu_1_rounding: float
+    r0_squares: float
+    r_spectral: float
+    r_squares: float
+    exactness_ratio: float | None
+
+    def __post_init__(self):
+        _freeze(self, "mu", "ratios", "lambda_ref", "w_values")
+
+
+def measure(h, subspace: TestSubspace, lambda_ref, q: int) -> Measurements:
+    """Every step of a report that reads H, the basis or an n-sized array:
+    the split, both defect routes, the ``min(n, q+m+1)`` lowest reference
+    values unless ``lambda_ref`` supplies them (``_lowest_eigenvalues``),
+    ``w_1..w_q``, which by interlacing (``w_q >= lambda_q``) hold the w
+    nearest lambda_q and lambda_1 in relative distance, and the exactness
+    ratio at lambda_q.  ``bounds.build_report`` checks the arguments.
+    """
+    hm = as_symmetric(h)
+    split = p_diagonal_split(hm, subspace)
+    schur = etas_schur(split)
+    moments, dl, ratios = etas_residual(split)
+    if lambda_ref is None:
+        lambda_ref = _lowest_eigenvalues(split, q + split.m + 1)
+    try:
+        exact_ratio = exactness_ratio(split, float(lambda_ref[q - 1]))
+    except SingularOperatorError:
+        exact_ratio = None
+    u_1, r = np.abs(split.ritz.vectors[:, 0]), split.residual
+    lambda_ref, w_values = lambda_ref[: q + split.m + 1].copy(), 1.0 / split.s11_values[:q]
+    for a in (ratios, lambda_ref, w_values):
+        a.setflags(write=False)
+    return Measurements(
+        n=hm.n, q=q, mu=split.mu, schur=schur, moments=moments, dl=dl, ratios=ratios,
+        lambda_ref=lambda_ref, w_values=w_values,
+        mu_1_rounding=hm.n * _EPS * float(u_1 @ np.abs(hm.entries) @ u_1),
+        r0_squares=float(r[:, 0] @ r[:, 0]), r_spectral=ui_norm(r, NormKind.SPECTRAL),
+        r_squares=float((r * r).sum()), exactness_ratio=exact_ratio,
+    )

@@ -125,8 +125,6 @@ def _as_array(a) -> np.ndarray:
 
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry positive (deterministic)."""
-    if vectors.size == 0:
-        return vectors
     lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
     return np.where(lead < 0, -vectors, vectors)
 

@@ -113,9 +113,7 @@ def kappa_row(kappa: float) -> KappaRow:
     """
     h = hkappa_matrix(kappa)
     ref = hkappa_reference(kappa)
-    basis = np.zeros((3, 1))
-    basis[0, 0] = 1.0
-    eta_computed = etas_schur(p_diagonal_split(h, TestSubspace(basis))).eta_max
+    eta_computed = etas_schur(p_diagonal_split(h, TestSubspace(np.eye(3)[:, :1]))).eta_max
     rel_error = (1 / 101) / (1.0 + kappa * kappa - sym_eigvals(h)[0])
     # dividing by eta twice keeps eta^2 from underflowing
     return KappaRow(kappa, ref.res_norm, ref.eta, eta_computed, rel_error, rel_error / eta_computed / eta_computed)
@@ -261,17 +259,13 @@ def schrodinger_bounds(kappa: float):
 
     Returns ``(2/(3+kappa), ((D + pi^2)/(D - pi^2)) * 2/(3+kappa))`` with
     the certified second-eigenvalue lower bound
-    ``D(kappa) = (1 - sqrt(2/(3+kappa))) 4 pi^2``; requires kappa >= 5 so
-    that D stays above pi^2.
+    ``D(kappa) = (1 - sqrt(2/(3+kappa))) 4 pi^2``; requires kappa >= 5, so
+    that ``D >= 2 pi^2``.
     """
     if kappa < 5.0:
         raise HypothesisError(f"the sandwich needs kappa >= 5, got {kappa}")
     eta2 = schrodinger_eta2(kappa)
     d = (1.0 - math.sqrt(eta2)) * 4.0 * PI**2
-    if d <= PI**2:
-        raise HypothesisError(
-            f"certified gap failed: D(kappa) = {d:.6f} <= pi^2"
-        )
     return eta2, (d + PI**2) / (d - PI**2) * eta2
 
 

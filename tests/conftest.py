@@ -2,19 +2,8 @@ import numpy as np
 import pytest
 
 from ritzbounds.defect import TestSubspace
-
-
-def haar_orthogonal(rng, n):
-    """Haar-distributed orthogonal matrix via QR with sign fixing."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def random_spd(rng, n, log_cond=4.0):
-    """Random SPD matrix with eigenvalues spread over log_cond decades."""
-    q = haar_orthogonal(rng, n)
-    lam = 10.0 ** rng.uniform(-log_cond / 2, log_cond / 2, size=n)
-    return (q * lam) @ q.T
+from ritzbounds.models import hkappa_matrix
+from ritzbounds.verify import _haar as haar_orthogonal, _random_spd as random_spd
 
 
 def random_subspace(rng, n, m):
@@ -45,13 +34,19 @@ def tilted_basis(rng, basis, amount=0.05):
 
 def kappa_matrix(k):
     """The 3x3 kappa family as an array."""
-    return np.array(
-        [
-            [1 / 101, 0.0, -1 / 101],
-            [0.0, 1 / 100, 0.0],
-            [-1 / 101, 0.0, 1 + k**2],
-        ]
-    )
+    return hkappa_matrix(k).entries
+
+
+def graded_dad(rng, n, top):
+    """``D A D`` with cond(A) <= 10, unit diag(A) and ``D = 2^-j`` for n
+    exponents j spread over [0, top], so H is formed exactly and its
+    diagonal spans ``2 top log10(2)`` decades."""
+    q = haar_orthogonal(rng, n)
+    a = (q * 10.0 ** rng.uniform(0.0, 1.0, n)) @ q.T
+    s = 1.0 / np.sqrt(np.diag(a))
+    a = s[:, None] * a * s[None, :]
+    d = 2.0 ** -rng.permutation(np.round(np.linspace(0.0, top, n)))
+    return d[:, None] * (0.5 * (a + a.T)) * d[None, :]
 
 
 def span_e1(n=3):

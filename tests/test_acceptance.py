@@ -53,7 +53,7 @@ from ritzbounds.models import (
     schrodinger_taylor,
 )
 
-from conftest import clustered_spd, haar_orthogonal, tilted_basis
+from conftest import clustered_spd, haar_orthogonal, span_e1, tilted_basis
 
 PI = math.pi
 
@@ -64,12 +64,6 @@ TABLE1_REFERENCE = {
     100: (2.4120e-1, 2.4120e-1, 2.4123e-1),
     120: (1.7671e-1, 1.7671e-1, 1.7673e-1),
 }
-
-
-def span_e1(n=3):
-    basis = np.zeros((n, 1))
-    basis[0, 0] = 1.0
-    return Subspace(basis)
 
 
 def _announce(name, started, budget):

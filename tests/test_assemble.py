@@ -4,13 +4,16 @@ report without touching a matrix.  A record of exact Ritz data, from the
 mpmath oracle and rounded to doubles once, separates a fault of the bound
 formulas from the rounding of the measurements."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ritzbounds import densela
+import ritzbounds
+from ritzbounds import bounds, defect, densela
 from ritzbounds.bounds import Measurements, assemble, build_report, measure, report_to_json
 from ritzbounds.defect import DefectSpectrum
 from ritzbounds.defect import TestSubspace as Subspace
@@ -139,3 +142,22 @@ def test_exact_equality_case_meets_the_sandwich_upper_end():
     assert set(upper) == {"sandwich_T34", "trace_T34", "classical_TK"}
     assert upper["sandwich_T34"] == pytest.approx(truth[0], rel=rtol)
     assert assert_contains(report, truth, rtol=rtol) == 3
+
+
+def test_bounds_reads_the_measurements_through_public_names_only():
+    # defect measures and bounds bounds: bounds.py imports no private name
+    # of the library and no numpy.linalg name, and ``measure``,
+    # ``Measurements`` and ``exactness_ratio`` live beside the split
+    imported = []
+    for node in ast.walk(ast.parse(Path(bounds.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "ritzbounds." * node.level + (node.module or "")
+            imported += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, "") for alias in node.names]
+    assert ("ritzbounds.defect", "measure") in imported
+    private = [(m, n) for m, n in imported if m.startswith("ritzbounds") and n.startswith("_")]
+    linalg = [(m, n) for m, n in imported if m.startswith("numpy.linalg") or (m, n) == ("numpy", "linalg")]
+    assert not private and not linalg, (private, linalg)
+    assert bounds.measure is defect.measure and bounds.Measurements is defect.Measurements
+    assert ritzbounds.exactness_ratio is defect.exactness_ratio

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ritzbounds import bounds
+from ritzbounds import bounds, densela
 from ritzbounds.bounds import (
+    BoundEntry,
     GapData,
     abs_cluster_bounds,
     build_report,
     classical_temple_kato,
     cluster_upper_bound,
     csv_to_rows,
-    exactness_ratio,
     g1_from_spectral_gap,
     gamma_s,
     gq_lower_bound_lemma,
@@ -38,6 +39,7 @@ from ritzbounds.defect import (
     DefectSpectrum,
     etas_moments,
     etas_schur,
+    exactness_ratio,
     moment_matrices,
     p_diagonal_split,
     relative_residual_identity,
@@ -49,6 +51,7 @@ from ritzbounds.errors import HypothesisError, SingularOperatorError
 import mp_oracle
 from conftest import (
     clustered_spd,
+    graded_dad,
     haar_orthogonal,
     kappa_matrix,
     random_spd,
@@ -903,18 +906,19 @@ def test_report_reads_the_moment_route_from_one_defect_function(monkeypatch):
     # build_report takes the moment-route defects, dl and the residual
     # quotients from one etas_residual call on its own split
     calls = []
+    etas_residual = defect.etas_residual
 
     def spied(split):
         calls.append(split)
-        return defect.etas_residual(split)
+        return etas_residual(split)
 
-    monkeypatch.setattr(bounds, "etas_residual", spied)
+    monkeypatch.setattr(defect, "etas_residual", spied)
     rng = np.random.default_rng(21)
     for n, m in ((12, 2), (20, 4), (9, 1)):
         h = random_spd(rng, n)
         report = build_report(h, Subspace(random_subspace(rng, n, m)))
         assert len(calls) == 1, (n, m)
-        moments, dl, ratios = defect.etas_residual(calls.pop())
+        moments, dl, ratios = etas_residual(calls.pop())
         assert report.aggregates["dl"] == dl
         assert report.aggregates["residual_eta_upper"] == float(np.sum(ratios))
         assert report.flags["routes_agree"]
@@ -949,21 +953,16 @@ GRADED_24 = [(n, m) for n in (16, 24, 32) for m in (1, 2, 4)] * 2
 
 @functools.lru_cache(maxsize=None)
 def graded_24_decades(k):
-    """Case k: ``D A D`` of order n = ``GRADED_24[k][0]`` with cond(A) <=
-    10, unit diag(A) and D = 2^-j for j in [0, 40], so H is formed exactly
-    and spans 24 decades; the basis tilts the m lowest eigenvectors by an
-    energy-scaled perturbation of size 1e-2..1e-6 (by k mod 5).  Returns
-    H, the basis and, from the oracle, the relative errors ``(mu_i -
-    lambda_i)/mu_i`` of the exact Ritz values of the basis.  Cached:
-    several tests read the same cases, and none writes to them."""
+    """Case k: ``graded_dad`` of order n = ``GRADED_24[k][0]`` with j in
+    [0, 40], so H spans 24 decades; the basis tilts the m lowest
+    eigenvectors by an energy-scaled perturbation of size 1e-2..1e-6 (by
+    k mod 5).  Returns H, the basis and, from the oracle, the relative
+    errors ``(mu_i - lambda_i)/mu_i`` of the exact Ritz values of the
+    basis.  Cached: several tests read the same cases, and none writes to
+    them."""
     n, m = GRADED_24[k]
     rng = np.random.default_rng(k)
-    q = haar_orthogonal(rng, n)
-    a = (q * 10.0 ** rng.uniform(0.0, 1.0, n)) @ q.T
-    s = 1.0 / np.sqrt(np.diag(a))
-    a = s[:, None] * a * s[None, :]
-    d = 2.0 ** -rng.permutation(np.round(np.linspace(0.0, 40.0, n)))
-    h = d[:, None] * (0.5 * (a + a.T)) * d[None, :]
+    h = graded_dad(rng, n, 40.0)
     c = rng.standard_normal((n - m, m))
     c /= np.linalg.norm(c, axis=0)
     basis, truth = mp_oracle.tilted_eigenbasis(h, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)[k % 5], c, 60)
@@ -978,11 +977,17 @@ def test_report_on_24_decade_grading_contains_true_error(k):
     mp_oracle.valid_entries_contain(report, truth)
 
 
+def patch_densela(monkeypatch, name, replacement):
+    """Replace the densela function ``name`` in densela and in each module
+    of the report path that imported it."""
+    for module in (densela, defect, bounds):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
 def test_one_factorization_of_h_per_report(monkeypatch):
     # the split, the moment route and lambda_ref share one Cholesky factor
     # of H; only m x m matrices are factored or diagonalized besides it
-    from ritzbounds import defect, densela
-
     orders = {"cholesky_lower": [], "sym_eig": []}
     for name, calls in orders.items():
 
@@ -990,9 +995,7 @@ def test_one_factorization_of_h_per_report(monkeypatch):
             _calls.append(np.shape(getattr(a, "entries", a))[0])
             return _original(a, *args, **kwargs)
 
-        for module in (densela, defect, bounds):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        patch_densela(monkeypatch, name, counted)
     rng = np.random.default_rng(3)
     for n, m, lam in ((40, 3, None), (12, 4, None), (30, 1, "exact")):
         h, exact, eigenspace = clustered_spd(rng, n, m)
@@ -1006,8 +1009,6 @@ def test_one_factorization_of_h_per_report(monkeypatch):
 def test_report_takes_no_singular_vectors_beyond_m_and_no_gen_sym_eig(monkeypatch):
     # the split needs only an orthonormal basis of range(G) and the moment
     # pencil only its eigenvalues; m x m matrices (the compression) remain
-    from ritzbounds import defect, densela
-
     shapes = []
     svd = np.linalg.svd
 
@@ -1020,9 +1021,7 @@ def test_report_takes_no_singular_vectors_beyond_m_and_no_gen_sym_eig(monkeypatc
         raise AssertionError("gen_sym_eig called")
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
-    for module in (densela, defect, bounds):
-        if hasattr(module, "gen_sym_eig"):
-            monkeypatch.setattr(module, "gen_sym_eig", refused)
+    patch_densela(monkeypatch, "gen_sym_eig", refused)
     rng = np.random.default_rng(5)
     for n, m in ((40, 3), (12, 4), (9, 1)):
         h, _, eigenspace = clustered_spd(rng, n, m)
@@ -1083,8 +1082,6 @@ def test_fast_path_report_takes_no_dqds_of_h_or_w_and_no_dense_inverse(monkeypat
     # the inverse Gram of one triangular inverse serves lambda_ref and the
     # w bracket; the only values-only SVDs are of n x m blocks, the moment
     # route runs no row loop, and no LU solve inverts an n x n matrix
-    from ritzbounds import densela
-
     shapes, identities = [], []
     svd, solve = np.linalg.svd, np.linalg.solve
 
@@ -1103,9 +1100,7 @@ def test_fast_path_report_takes_no_dqds_of_h_or_w_and_no_dense_inverse(monkeypat
 
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-    for module in (densela, defect, bounds):
-        if hasattr(module, "solve_lower"):
-            monkeypatch.setattr(module, "solve_lower", refused)
+    patch_densela(monkeypatch, "solve_lower", refused)
     rng = np.random.default_rng(14)
     for n, m, q in ((100, 3, 1), (150, 1, 2)):
         h = random_spd(rng, n, log_cond=1.0)
@@ -1211,3 +1206,24 @@ def test_complement_values_on_24_decade_grading_match_mpmath(k):
     w = p_diagonal_split(h, Subspace(basis)).w_values[:4]
     exact = mp_oracle.complement_values(h, basis, 60)[:4]
     assert np.max(np.abs(w - exact) / exact) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BoundEntry(1, "nonsense", 0.0, 1.0, True), "unknown theorem tag 'nonsense'"),
+        (lambda: BoundEntry(1, "first_order", 1.0, 0.0, True), "empty bound interval [1.0, 0.0] for first_order"),
+        (lambda: csv_to_rows("index,theorem\n"), "unexpected CSV header 'index,theorem'"),
+        (lambda: relative_gap_gq([2.0, -3.0], 1.0), "unwanted spectrum must be positive"),
+        (lambda: gamma_s(-1.0, 3.0, 1.0, 1.5), "gamma_s arguments must be nonnegative"),
+        (lambda: classical_temple_kato(1.0, -1e-3, 2.0), "squared residual norm must be nonnegative"),
+        (lambda: prop_lower_bound([1.0, 2.0], [0.1, -0.1]), "residual quotients must be nonnegative"),
+        (lambda: residual_eta_sandwich([0.1], -1e-3), "deviation measure must be nonnegative"),
+    ],
+    ids=["entry-tag", "entry-empty", "csv-header", "gap-negative", "gamma-negative", "tk-negative",
+         "prop-negative", "residual-sandwich-negative"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        call()
+    assert err.type is ValueError

@@ -532,3 +532,25 @@ def test_runtime_path_does_not_import_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("kappa-demo", "--kappas", "abc"), 2, "argument --kappas: bad kappa list: 'abc'"),
+        (("kappa-demo", "--kappas", ","), 2, "argument --kappas: empty kappa list"),
+        (("schrodinger", "--kappas", "abc"), 2, "argument --kappas: bad kappa list: 'abc'"),
+        (("fem-periodic", "--n-list", ","), 2, "argument --n-list: empty mesh list"),
+        (("schrodinger", "--oracle-fd", "abc", "100"), 2, "argument --oracle-fd: L must be a finite number >= 2.0, got 'abc'"),
+        (("schrodinger", "--oracle-fd", "2000", "1000"), cli.EXIT_FAILURE, "error: the grid step length/nodes must be below 1"),
+    ],
+)
+def test_documented_exits(argv, code, message, capsys):
+    # usage errors exit 2 while parsing; a grid step L/N of 1 or more
+    # places no node in the well, which the oracle refuses with exit 1
+    try:
+        got = run_cli(*argv)
+    except SystemExit as err:
+        got = err.code
+    assert got == code
+    assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import hypothesis
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 from ritzbounds import defect
 from ritzbounds.defect import (
     DefectSpectrum,
+    RitzData,
     dl_measure,
     etas_moments,
     etas_schur,
@@ -15,6 +18,7 @@ from ritzbounds.defect import (
     orthonormal_completion,
     p_diagonal_split,
     relative_residual_identity,
+    measure,
     ritz,
     wilkinson_schur,
 )
@@ -414,3 +418,56 @@ def test_defect_spectrum_validation():
         DefectSpectrum(np.array([0.5, 0.2]), route="schur_block")
     with pytest.raises(ValueError):
         DefectSpectrum(np.array([0.5, 1.0]), route="schur_block")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ritz(np.eye(4), span_e1(3)), "operator and subspace dimensions differ"),
+        (lambda: wilkinson_schur(np.eye(2), np.zeros((2, 2)), np.eye(1)), "coupling block must be 2 x 1, got (2, 2)"),
+        (lambda: dl_measure(np.eye(2), [1.0, 0.0]), "Ritz values must be positive"),
+        (
+            lambda: etas_moments(np.eye(2), -np.eye(2)),
+            "moment pencil produced eigenvalue -1.000e+00 far below zero; inputs are inconsistent",
+        ),
+        (lambda: DefectSpectrum(np.zeros((2, 2)), route="schur_block"), "etas must be a 1-d array"),
+    ],
+    ids=["ritz-ambient", "wilkinson-coupling", "dl-mu", "moments-below-zero", "defects-2d"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        call()
+    assert err.type is ValueError
+
+
+def test_records_are_read_only(rng):
+    # a write through any array of a split or a record raises; an array a
+    # caller passes in stays writable, and the record holds a read-only view
+    h = random_spd(rng, 9)
+    s = Subspace(random_subspace(rng, 9, 2))
+    split = p_diagonal_split(h, s)
+    record = measure(h, s, None, 1)
+    fields = {
+        "RitzData.mu": split.ritz.mu,
+        "RitzData.vectors": split.ritz.vectors,
+        "SplitOperator.k_s": split.k_s,
+        "SplitOperator.residual": split.residual,
+        "SplitOperator.s11_values": split.s11_values,
+        "SplitOperator.inv_gram": split.inv_gram,
+        "SplitOperator.h_factor[0]": split.h_factor[0],
+        "SplitOperator.h_factor[1]": split.h_factor[1],
+        "Measurements.mu": record.mu,
+        "Measurements.ratios": record.ratios,
+        "Measurements.lambda_ref": record.lambda_ref,
+        "Measurements.w_values": record.w_values,
+    }
+    for name, a in fields.items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+    mu, vectors = np.array([1.0, 2.0]), np.eye(3)[:, :2]
+    rd = RitzData(mu=mu, vectors=vectors)
+    mu[0] = vectors[0, 0] = 0.5
+    assert rd.mu[0] == rd.vectors[0, 0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        rd.mu[0] = 1.0

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -483,3 +484,17 @@ class TestTriangularKernels:
         assert_within(np.abs(z - mp_oracle.solve_upper(r, b, 40)), k * eps * forward)
         # one right-hand side as a vector
         assert_within(np.abs(_solve_upper(r, b[:, 0]) - z[:, 0]), 2 * k * eps * forward[:, 0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SymmetricMatrix(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
+        (lambda: gen_sym_eig(np.eye(2), np.eye(3)), "shape mismatch: A is (2, 2), B is (3, 3)"),
+    ],
+    ids=["non-square", "pencil-shapes"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        call()
+    assert err.type is ValueError

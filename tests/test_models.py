@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -386,3 +387,22 @@ class TestTableRow:
         assert lower <= middle + 2 * math.ulp(middle) and middle <= upper
         if n <= 10**5:
             assert lower <= middle
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: schrodinger_eta2_fd(10.0, length=1.5), "truncated domain must extend past the potential step"),
+        (lambda: schrodinger_eta2_fd(10.0, nodes=50), "need at least 100 grid nodes"),
+        (
+            lambda: schrodinger_eta2_fd(10.0, length=200.0, nodes=100),
+            "the grid step length/nodes must be below 1 to place nodes in [0, 1]",
+        ),
+        (lambda: periodic_exact(DEFAULT_ALPHA, 0), "eigenvalue index must be >= 1, got 0"),
+    ],
+    ids=["fd-length", "fd-nodes", "fd-step", "periodic-index"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        call()
+    assert err.type is ValueError

@@ -293,7 +293,7 @@ def test_squared_defects_are_caught_by_the_strict_bound(monkeypatch):
 def test_absolute_shift_of_the_reference_spectrum_is_caught(monkeypatch):
     # lambda + 1e-12 does not scale with H; the report check takes its
     # reference values from H, so at 1e-8 H the shift reaches the gaps
-    detail = _caught(monkeypatch, "bounds.scaling_robustness", bounds, "_lowest_eigenvalues",
+    detail = _caught(monkeypatch, "bounds.scaling_robustness", defect, "_lowest_eigenvalues",
                      lambda original: lambda split, count: original(split, count) + 1e-12)
     assert detail.startswith("max relative drift"), detail
 
@@ -309,7 +309,7 @@ def test_unseeded_reference_spectrum_is_caught(monkeypatch):
             return values * (1.0 + 1e-9 * rng.random(len(values)))
         return _lowest_eigenvalues
 
-    _caught(monkeypatch, "report.determinism", bounds, "_lowest_eigenvalues", jittered)
+    _caught(monkeypatch, "report.determinism", defect, "_lowest_eigenvalues", jittered)
 
 
 def test_norms_from_column_norms_are_caught(monkeypatch):

@@ -21,20 +21,14 @@ from ritzbounds.defect import TestSubspace as Subspace
 from ritzbounds.densela import SymmetricMatrix, read_matrix_text, write_matrix_text
 from ritzbounds.errors import MatrixParseError
 
-from conftest import haar_orthogonal
+from conftest import graded_dad
 
 
 def graded_case(n, m, seed):
-    """``D A D`` with cond(A) <= 10, unit diag(A) and D = 2^-j for j in
-    [0, 20], so H's diagonal spans 12 decades, and a random m-dimensional
-    subspace."""
+    """``graded_dad`` with j in [0, 20], so H's diagonal spans 12 decades,
+    and a random m-dimensional subspace."""
     rng = np.random.default_rng(seed)
-    q = haar_orthogonal(rng, n)
-    a = (q * 10.0 ** rng.uniform(0.0, 1.0, n)) @ q.T
-    s = 1.0 / np.sqrt(np.diag(a))
-    a = s[:, None] * a * s[None, :]
-    d = 2.0 ** -rng.permutation(np.round(np.linspace(0.0, 20.0, n)))
-    h = d[:, None] * (0.5 * (a + a.T)) * d[None, :]
+    h = graded_dad(rng, n, 20.0)
     basis, _ = np.linalg.qr(rng.standard_normal((n, m)))
     return h, Subspace(basis)
 
