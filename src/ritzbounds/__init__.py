@@ -6,7 +6,6 @@ from .bounds import (
     BoundEntry,
     BoundReport,
     GapData,
-    abs_cluster_bounds,
     build_report,
     classical_temple_kato,
     cluster_upper_bound,
@@ -33,7 +32,6 @@ from .defect import (
     exactness_ratio,
     moment_matrices,
     p_diagonal_split,
-    relative_residual_identity,
     ritz,
     wilkinson_schur,
 )
@@ -42,7 +40,6 @@ from .densela import (
     SymmetricMatrix,
     as_symmetric,
     gen_sym_eig,
-    inv_sqrt,
     read_matrix_text,
     singular_values,
     sym_eig,

@@ -23,7 +23,7 @@ it raises HypothesisError rather than return a meaningless number:
 ``cluster_upper_bound`` and ``sandwich_bounds`` on a relative gap <= 0,
 ``classical_temple_kato`` when lambda_2 is not above mu,
 ``g1_from_spectral_gap`` when lambda_(m+1) is not above mu_m, and
-``abs_cluster_bounds`` when ||K|| reaches lambda_(m+1) - mu_m.  Checking
+``_abs_cluster`` when ||K|| reaches lambda_(m+1) - mu_m.  Checking
 every other hypothesis is the caller's business.  ``assemble`` is that
 caller: from the ``Measurements`` of an operator/test-subspace pair,
 O(m + q) numbers, it evaluates all bounds, records one flag per checked
@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _json_quote
 import numpy as np
 
 from .defect import DefectSpectrum, Measurements, TestSubspace, measure
-from .densela import NormKind, as_symmetric, ui_norm, values_norm
+from .densela import NormKind, as_symmetric, values_norm
 from .errors import HypothesisError
 
 INF = float("inf")
@@ -224,23 +224,10 @@ def residual_eta_sandwich(omega_diag_mu, dl: float):
     return total / (1.0 + dl), total
 
 
-def abs_cluster_bounds(k_block, mu, lambda_mp1: float, kind) -> float:
-    """Absolute cluster bound in the unscaled geometry.
-
-    For the coupling block K of H in the adapted basis,
-    ``|||diag(mu_i - lambda)||| <= |||K||| ||K|| / (lambda_{m+1} - mu_m -
-    ||K||)``.  The trace variant uses the residual sum ||K||_F^2 in place
-    of |||K||| ||K||.  Requires ||K|| < lambda_{m+1} - mu_m.  The residual
-    block ``R = H U - U M`` may stand for K: ``V^T R = K``, ``U^T R = 0``.
-    """
-    k = np.asarray(k_block, dtype=float)
-    norms = ui_norm(k, NormKind.SPECTRAL), float((k * k).sum())
-    return _abs_cluster(NormKind.coerce(kind), *norms, float(np.asarray(mu, dtype=float)[-1]), lambda_mp1)
-
-
 def _abs_cluster(kind: NormKind, spectral, squares, mu_m, lambda_mp1) -> float:
-    """``abs_cluster_bounds`` from K's spectral norm and squared sum, whose
-    square root is its Frobenius norm."""
+    """Absolute cluster bound ``|||K||| ||K|| / (lambda_(m+1) - mu_m - ||K||)``
+    from the spectral norm and squared sum of the coupling block K, or of R,
+    whose norms are K's; the trace norm takes ``||K||_F^2`` for ``|||K||| ||K||``."""
     gap = float(lambda_mp1 - mu_m)
     if spectral >= gap:
         raise HypothesisError(

@@ -175,8 +175,8 @@ class DefectSpectrum:
             raise ValueError("etas must be nonnegative and ascending")
         if e.size and e[-1] >= 1.0:
             raise ValueError(
-                f"largest defect {e[-1]:.6e} >= 1; the split operator is not "
-                f"positive definite"
+                f"largest defect {e[-1]:.6e} rounded to 1: defects of a positive-definite "
+                f"H are below 1, but 1 - eta_m^2 fell below double precision"
             )
         e.setflags(write=False)
         object.__setattr__(self, "etas", e)
@@ -504,24 +504,6 @@ def exactness_ratio(split: SplitOperator, lambda_q: float) -> float:
         )
     correction = float(_resolvent_term(split, lam).trace())
     return 1.0 + correction / sum_sq
-
-
-def relative_residual_identity(split: SplitOperator, rd: RitzData, lambda_q: float):
-    """Both sides of the exact relative block-residual identity.
-
-    Returns ``(lhs, rhs, defect)`` with ``lhs = I - lambda_q Xi^{-1}``,
-    ``rhs = K_s^T (I - lambda_q W^{-1})^{-1} K_s``, evaluated as ``K_s^T
-    K_s + lambda_q K_s^T (W - lambda_q)^{-1} K_s`` (``_resolvent_term``),
-    and the Frobenius norm of their difference.  When lambda_q is an
-    eigenvalue of H whose multiplicity equals the subspace dimension, the
-    identity is exact and the defect is at rounding level.
-    """
-    lam = float(lambda_q)
-    lhs = np.eye(split.m) - lam * np.diag(1.0 / rd.mu)
-    rhs = split.k_s.T @ split.k_s + _resolvent_term(split, lam)
-    rhs = 0.5 * (rhs + rhs.T)
-    defect = float(np.sqrt(((lhs - rhs) ** 2).sum()))
-    return SymmetricMatrix(lhs), SymmetricMatrix(rhs), defect
 
 
 @dataclass(frozen=True)

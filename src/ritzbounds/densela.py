@@ -307,22 +307,6 @@ def gen_sym_eig(a, b):
     return values, _normalize_signs(solve_lower_t(ell, q))
 
 
-def inv_sqrt(a) -> SymmetricMatrix:
-    """Inverse square root R of a positive-definite matrix, R A R = I."""
-    m = as_symmetric(a)
-    if m.n == 0:
-        return m
-    values, vectors = sym_eig(m)
-    if values[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"inverse square root needs a positive-definite matrix; "
-            f"smallest eigenvalue is {values[0]:.6e}",
-            eigenvalue=values[0],
-        )
-    r = (vectors * values**-0.5) @ vectors.T
-    return SymmetricMatrix(0.5 * (r + r.T))
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values of a rectangular matrix, descending.
 

@@ -37,11 +37,10 @@ from ritzbounds.defect import (
     etas_schur,
     moment_matrices,
     p_diagonal_split,
-    relative_residual_identity,
     ritz,
     wilkinson_schur,
 )
-from ritzbounds.densela import NormKind, inv_sqrt, sym_eig, ui_norm
+from ritzbounds.densela import NormKind, sym_eig, ui_norm
 from ritzbounds.models import (
     fem_assemble,
     hkappa_matrix,
@@ -54,6 +53,7 @@ from ritzbounds.models import (
 )
 
 from conftest import clustered_spd, haar_orthogonal, span_e1, tilted_basis
+from dense_oracles import inv_sqrt, relative_residual_identity
 
 PI = math.pi
 

@@ -16,7 +16,6 @@ from ritzbounds import bounds, densela
 from ritzbounds.bounds import (
     BoundEntry,
     GapData,
-    abs_cluster_bounds,
     build_report,
     classical_temple_kato,
     cluster_upper_bound,
@@ -42,13 +41,13 @@ from ritzbounds.defect import (
     exactness_ratio,
     moment_matrices,
     p_diagonal_split,
-    relative_residual_identity,
     ritz,
 )
 from ritzbounds.densela import NormKind, sym_eig, sym_eigvals, ui_norm
 from ritzbounds.errors import HypothesisError, SingularOperatorError
 
 import mp_oracle
+from dense_oracles import abs_cluster_bounds, relative_residual_identity
 from conftest import (
     clustered_spd,
     graded_dad,
@@ -552,6 +551,29 @@ class TestReport:
         with pytest.raises(ValueError, match="q must be an integer|reference eigenvalues"):
             build_report(np.diag(np.arange(1.0, 9.0)), Subspace(basis), lambda_ref=lambda_ref, q=q)
         assert not calls
+
+    def test_defect_rounded_to_one_is_refused_as_rounding(self):
+        # D A D with D spanning 10 decades and a random plane: H is positive
+        # definite, so eta_m < 1 exactly, but 1 - eta_m^2 lies below double
+        # precision on 18 of these 20 seeds and a route returns eta_m = 1.
+        # Every refusal, the report's and the pencil form's alike, says
+        # that, not that the split operator is indefinite.
+        message = (
+            "largest defect 1.000000e+00 rounded to 1: defects of a positive-definite "
+            "H are below 1, but 1 - eta_m^2 fell below double precision"
+        )
+        refusals = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            h = graded_dad(rng, 12, 10 / math.log10(2))
+            u = Subspace(random_subspace(rng, 12, 2))
+            assert mp_oracle.spectrum(h, 40)[0] > 0
+            for route in (lambda: build_report(h, u), lambda: etas_moments(*moment_matrices(h, ritz(h, u)))):
+                try:
+                    route()
+                except ValueError as err:
+                    refusals.append(str(err))
+        assert set(refusals) == {message}
 
     def test_missing_neighbour_is_refused_not_read_as_infinite(self):
         # diag(1, 1.5, 100) and u close to e_2: mu = 1.4999 has the true error

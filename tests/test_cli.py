@@ -17,7 +17,7 @@ from ritzbounds.densela import write_matrix_text
 from ritzbounds.models import hkappa_matrix, hkappa_reference
 
 import mp_oracle
-from conftest import haar_orthogonal
+from conftest import graded_dad, haar_orthogonal, random_subspace
 
 
 @pytest.fixture
@@ -132,6 +132,21 @@ class TestBoundsCommand:
         code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
         assert code == cli.EXIT_FAILURE
         assert capsys.readouterr().err == "error: spanning columns are numerically rank deficient\n"
+
+    def test_defect_rounded_to_one_is_reported(self, tmp_path, capsys):
+        # H = D A D with D spanning 10 decades factors, but along a random
+        # plane 1 - eta_m^2 falls below double precision
+        rng = np.random.default_rng(0)
+        matrix = tmp_path / "h.txt"
+        write_matrix_text(matrix, graded_dad(rng, 12, 10 / math.log10(2)))
+        subspace = tmp_path / "s.txt"
+        write_matrix_text(subspace, random_subspace(rng, 12, 2))
+        code = run_cli("bounds", "--matrix", str(matrix), "--subspace", str(subspace))
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "error: largest defect 1.000000e+00 rounded to 1: defects of a positive-definite "
+            "H are below 1, but 1 - eta_m^2 fell below double precision\n"
+        )
 
     def test_too_many_subspace_columns_is_reported(self, tmp_path, capsys):
         matrix = tmp_path / "h.txt"

@@ -17,7 +17,6 @@ from ritzbounds.defect import (
     moment_matrices,
     orthonormal_completion,
     p_diagonal_split,
-    relative_residual_identity,
     measure,
     ritz,
     wilkinson_schur,
@@ -27,6 +26,7 @@ from ritzbounds.defect import TestSubspace as Subspace
 from ritzbounds.errors import NotPositiveDefiniteError, SingularOperatorError
 
 import mp_oracle
+from dense_oracles import relative_residual_identity
 from conftest import haar_orthogonal, kappa_matrix, random_spd, random_subspace, span_e1
 
 

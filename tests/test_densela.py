@@ -16,7 +16,6 @@ from ritzbounds.densela import (
     as_symmetric,
     cholesky_lower,
     gen_sym_eig,
-    inv_sqrt,
     read_matrix_text,
     singular_values,
     solve_lower_t,
@@ -35,6 +34,7 @@ from ritzbounds.errors import (
 )
 
 import mp_oracle
+from dense_oracles import inv_sqrt
 from conftest import haar_orthogonal, kappa_matrix, random_spd
 
 

@@ -299,10 +299,11 @@ def test_absolute_shift_of_the_reference_spectrum_is_caught(monkeypatch):
 
 
 def test_unseeded_reference_spectrum_is_caught(monkeypatch):
-    # 1 + 1e-9 u with u from an unseeded generator: every report prints
-    # other reference values
+    # 1 + 1e-9 u with u from a generator seeded once, when the mutation is
+    # installed: each call draws another u, so every report prints other
+    # reference values, and two runs of the test draw the same ones
     def jittered(original):
-        rng = np.random.default_rng()
+        rng = np.random.default_rng(0)
 
         def _lowest_eigenvalues(split, count):
             values = original(split, count)
@@ -393,9 +394,11 @@ def test_expansion_without_its_fourth_term_is_caught(monkeypatch):
 
 
 def test_unseeded_matching_root_is_caught(monkeypatch):
-    # a bisection started from a random point stops at another double
+    # a bisection started from a random point stops at another double; the
+    # generator is seeded once, when the mutation is installed, so each
+    # call still draws another point
     def jittered(original):
-        rng = np.random.default_rng()
+        rng = np.random.default_rng(0)
         return lambda kappa, q: original(kappa, q) * (1.0 + 1e-12 * rng.random())
 
     _caught(monkeypatch, "models.determinism", models, "_matching_offset", jittered)
