@@ -394,7 +394,7 @@ def etas_moments(psi, omega) -> DefectSpectrum:
     Psi)``, the library's one pencil solver.
     """
     try:
-        squares = gen_sym_eig(omega, psi)[0]
+        squares = gen_sym_eig(omega, psi)
     except NotPositiveDefiniteError as err:
         raise NotPositiveDefiniteError(
             f"inverse-moment matrix is not positive definite (rank-deficient "

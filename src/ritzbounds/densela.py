@@ -2,9 +2,9 @@
 
 Everything downstream (defect operators, bound evaluation, model problems)
 is built on the routines in this module: an eigensolver for real symmetric
-matrices, the symmetric-definite generalized eigensolver via Cholesky
-reduction, inverse square roots, singular values, and the family of
-unitary-invariant norms (spectral, Frobenius, trace).
+matrices, the eigenvalues of a symmetric-definite pencil via Cholesky
+reduction, singular values, and the family of unitary-invariant norms
+(spectral, Frobenius, trace).
 
 The bound evaluation needs small eigenvalues of badly scaled
 positive-definite matrices to high *relative* accuracy, which LAPACK's
@@ -16,12 +16,14 @@ positive-definite matrix, with its diagonal sorted to decrease, as
 accuracy, and ``sym_eigvals`` returns those values without the vectors;
 ``singular_values`` sorts rows and columns by decreasing norm for the
 same reason.  ``cholesky_lower`` is LAPACK's and loops in Python only to
-name the pivot that fails.  The private ``_inv_upper`` and ``_solve_upper``
-invert and solve with triangular matrices in blocks, with LAPACK on the
-diagonal blocks.  Only numpy's own LAPACK is used: the first call of
-scipy's accurate Jacobi SVD (``dgejsv``) or of ``scipy.linalg.eigh``
-raises a process's peak memory by 1.3-1.6 MB, three to four times what
-numpy's values-only SVD costs (see the README's numerical notes).
+name the pivot that fails.  ``gen_sym_eig`` reduces a pencil with the
+row loop of ``solve_lower`` and returns its eigenvalues only.  The private
+``_inv_upper`` and ``_solve_upper`` invert and solve with triangular
+matrices in blocks, with LAPACK on the diagonal blocks.  Only numpy's own
+LAPACK is used: the first call of scipy's accurate Jacobi SVD
+(``dgejsv``) or of ``scipy.linalg.eigh`` raises a process's peak memory by
+1.3-1.6 MB, three to four times what numpy's values-only SVD costs (see
+the README's numerical notes).
 
 Storage is dense float64 throughout; the intended problem sizes are desk
 scale.
@@ -245,14 +247,6 @@ def solve_lower(ell: np.ndarray, b) -> np.ndarray:
     return x
 
 
-def solve_lower_t(ell: np.ndarray, b) -> np.ndarray:
-    """Back substitution L^T x = b."""
-    x = np.array(b, dtype=float)
-    for i in reversed(range(ell.shape[0])):
-        x[i] = (x[i] - ell[i + 1 :, i] @ x[i + 1 :]) / ell[i, i]
-    return x
-
-
 #: Order of the diagonal blocks that ``_inv_upper`` and ``_solve_upper``
 #: hand to LAPACK.
 _LEAF = 64
@@ -288,23 +282,22 @@ def _solve_upper(r: np.ndarray, b) -> np.ndarray:
     return x
 
 
-def gen_sym_eig(a, b):
-    """Generalized symmetric-definite eigenproblem A v = lambda B v.
+def gen_sym_eig(a, b) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric-definite pencil A v = lambda B v.
 
-    Reduces to a standard problem with the Cholesky factor of B and
-    back-transforms, so the returned vectors are B-orthonormal.  Eigenvalues
-    come back ascending.  ``etas_moments`` solves the moment pencil with it.
+    Reduces to the standard problem ``C = L^-1 A L^-T`` with the Cholesky
+    factor L of B and returns ``sym_eigvals`` of its symmetric part; no
+    eigenvector is formed.  ``etas_moments`` solves the moment pencil with it.
     """
     a = _as_array(as_symmetric(a))
     bm = as_symmetric(b)
     if a.shape != bm.entries.shape:
         raise ValueError(f"shape mismatch: A is {a.shape}, B is {bm.entries.shape}")
     if bm.n == 0:
-        return np.empty(0), np.empty((0, 0))
+        return np.empty(0)
     ell = cholesky_lower(bm.entries, what="B")
     c = solve_lower(ell, solve_lower(ell, a).T)
-    values, q = sym_eig(0.5 * (c + c.T))
-    return values, _normalize_signs(solve_lower_t(ell, q))
+    return sym_eigvals(0.5 * (c + c.T))
 
 
 def singular_values(a) -> np.ndarray:

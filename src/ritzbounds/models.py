@@ -23,8 +23,9 @@ lowest modes at ``alpha = 0.2499``.  Those modes and their value come in
 closed form (``fem_ritz``), and their inverse moments are multiples of
 the identity given by two scalar sums over the aliases ``1/2 + jN`` of
 their frequency (``periodic_moment_matrix``), exact to rounding at every
-admitted N.  ``fem_assemble`` keeps the dense pencil as the reference the
-tests solve.
+admitted N.  Those sums cancel as alpha falls, so the model admits alpha
+in ``[ALPHA_MIN, 1/4)``.  ``fem_assemble`` keeps the dense pencil as the
+reference the tests solve.
 """
 
 from __future__ import annotations
@@ -280,6 +281,10 @@ DEFAULT_ALPHA = 0.2499
 #: leading asymptotic term (``periodic_moment_matrix``).
 ALIAS_TERMS = 10_000
 
+#: Least shift the periodic model admits: below it the alias sums of
+#: ``periodic_moment_matrix`` cancel past 1e-12 (README, model problems).
+ALPHA_MIN = -1e4
+
 
 def periodic_exact(alpha: float, k: int):
     """k-th smallest exact eigenvalue and its integer frequency.
@@ -328,6 +333,11 @@ def fem_assemble(n_mesh: int, alpha: float = DEFAULT_ALPHA):
 def _check_shift(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha < 0.25):
         raise ValueError(f"alpha must be finite and below 1/4, got alpha = {alpha}")
+    if alpha < ALPHA_MIN:
+        raise ValueError(
+            f"alpha must be at least {ALPHA_MIN:g}, below which the periodic moments "
+            f"cancel, got alpha = {alpha}"
+        )
 
 
 def _half_mode(n_mesh: int):
@@ -415,6 +425,8 @@ def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA):
     The gap ``(lambda_3 - lambda_1)/lambda_3`` is the least ``|lambda_1 -
     lambda|/lambda`` over the exact spectrum beyond the cluster: by min-max
     the discrete pencil values there lie above lambda_3, so they never set it.
+    Its numerator is ``(3/2)^2 - (1/2)^2 = 2`` for every alpha, so the gap is
+    ``2/lambda_3`` with no subtraction.
     """
     defects = etas_moments(*periodic_moment_matrix(n_mesh, alpha))
     lam1, _ = periodic_exact(alpha, 1)
@@ -422,5 +434,5 @@ def table1_row(n_mesh: int, alpha: float = DEFAULT_ALPHA):
     distance = _half_mode(n_mesh)[3]
     lower = values_norm(defects.etas**2, "frobenius")
     middle = math.sqrt(2.0) * distance / (lam1 + distance)
-    upper = cluster_upper_bound(defects, (lam3 - lam1) / lam3, "frobenius")
+    upper = cluster_upper_bound(defects, 2.0 / lam3, "frobenius")
     return lower, middle, upper

@@ -114,8 +114,8 @@ def check_pencil_congruence_invariance(rng):
         a = _random_spd(rng, 6)
         b = _random_spd(rng, 6)
         s = rng.standard_normal((6, 6)) + 3 * np.eye(6)
-        w1, _ = _densela.gen_sym_eig(a, b)
-        w2, _ = _densela.gen_sym_eig(s.T @ a @ s, s.T @ b @ s)
+        w1 = _densela.gen_sym_eig(a, b)
+        w2 = _densela.gen_sym_eig(s.T @ a @ s, s.T @ b @ s)
         worst = max(worst, np.max(np.abs(w1 - w2) / np.abs(w1)))
     return worst <= 1e-9, f"max relative drift {worst:.2e}"
 
@@ -162,7 +162,7 @@ def check_eta_bound_strict(rng):
         if not (np.all(np.diff(etas) >= 0) and etas[0] >= 0 and etas[-1] < 1):
             return False, f"violated ordering/bound: {etas}"
         p, q = s.basis @ s.basis.T, np.eye(12) - s.basis @ s.basis.T
-        theta = _densela.gen_sym_eig(h, p @ h @ p + q @ h @ q)[0]
+        theta = _densela.gen_sym_eig(h, p @ h @ p + q @ h @ q)
         if max(abs(1.0 - theta[0] - etas[-1]), abs(theta[-1] - 1.0 - etas[-1])) > 1e-10:
             return False, f"eta_m = {etas[-1]:.15e} but (H, H_P) spans [{theta[0]:.15e}, {theta[-1]:.15e}]"
     return True, "0 <= eta_1 <= ... <= eta_m < 1 on 10 draws"

@@ -12,14 +12,29 @@ beside ``mp_oracle.py`` rather than in the package:
   ``defect.exactness_ratio`` evaluates;
 * ``abs_cluster_bounds``, the absolute cluster bound from a coupling block,
   the matrix form of the scalar ``bounds._abs_cluster`` that ``assemble``
-  evaluates from a report's measurements.
+  evaluates from a report's measurements;
+* ``pencil_eig``, the B-orthonormal eigenvectors of a symmetric-definite
+  pencil beside its eigenvalues: ``densela.gen_sym_eig``'s reduction, then
+  ``sym_eig``, the back substitution ``solve_lower_t`` and the sign
+  normalization.  The library's pencil solver returns the eigenvalues only,
+  and they are bit for bit the values here on a positive-definite pencil.
 """
 
 import numpy as np
 
 from ritzbounds.bounds import _abs_cluster
 from ritzbounds.defect import RitzData, SplitOperator, _resolvent_term
-from ritzbounds.densela import NormKind, SymmetricMatrix, as_symmetric, sym_eig, ui_norm
+from ritzbounds.densela import (
+    NormKind,
+    SymmetricMatrix,
+    _as_array,
+    _normalize_signs,
+    as_symmetric,
+    cholesky_lower,
+    solve_lower,
+    sym_eig,
+    ui_norm,
+)
 from ritzbounds.errors import NotPositiveDefiniteError
 
 
@@ -69,3 +84,27 @@ def abs_cluster_bounds(k_block, mu, lambda_mp1: float, kind) -> float:
     k = np.asarray(k_block, dtype=float)
     norms = ui_norm(k, NormKind.SPECTRAL), float((k * k).sum())
     return _abs_cluster(NormKind.coerce(kind), *norms, float(np.asarray(mu, dtype=float)[-1]), lambda_mp1)
+
+
+def solve_lower_t(ell: np.ndarray, b) -> np.ndarray:
+    """Back substitution L^T x = b."""
+    x = np.array(b, dtype=float)
+    for i in reversed(range(ell.shape[0])):
+        x[i] = (x[i] - ell[i + 1 :, i] @ x[i + 1 :]) / ell[i, i]
+    return x
+
+
+def pencil_eig(a, b):
+    """``(values, vectors)`` of the pencil A v = lambda B v: ascending
+    eigenvalues and B-orthonormal eigenvectors, each column's
+    largest-magnitude entry positive."""
+    a = _as_array(as_symmetric(a))
+    bm = as_symmetric(b)
+    if a.shape != bm.entries.shape:
+        raise ValueError(f"shape mismatch: A is {a.shape}, B is {bm.entries.shape}")
+    if bm.n == 0:
+        return np.empty(0), np.empty((0, 0))
+    ell = cholesky_lower(bm.entries, what="B")
+    c = solve_lower(ell, solve_lower(ell, a).T)
+    values, q = sym_eig(0.5 * (c + c.T))
+    return values, _normalize_signs(solve_lower_t(ell, q))

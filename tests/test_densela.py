@@ -18,7 +18,6 @@ from ritzbounds.densela import (
     gen_sym_eig,
     read_matrix_text,
     singular_values,
-    solve_lower_t,
     sorted_cholesky,
     sym_eig,
     sym_eigvals,
@@ -34,7 +33,7 @@ from ritzbounds.errors import (
 )
 
 import mp_oracle
-from dense_oracles import inv_sqrt
+from dense_oracles import inv_sqrt, pencil_eig, solve_lower_t
 from conftest import haar_orthogonal, kappa_matrix, random_spd
 
 
@@ -152,22 +151,36 @@ class TestSymEig:
 class TestGenSymEig:
     def test_equal_pencil_gives_ones(self, rng):
         a = random_spd(rng, 5)
-        w, v = gen_sym_eig(a, a)
+        w, v = gen_sym_eig(a, a), pencil_eig(a, a)[1]
         assert_allclose(w, np.ones(5), rtol=1e-11)
         assert_allclose(v.T @ a @ v, np.eye(5), atol=1e-10)
 
     def test_simultaneous_diagonal(self):
-        w, _ = gen_sym_eig(np.diag([4.0, 1.0]), np.diag([2.0, 1.0]))
+        w = gen_sym_eig(np.diag([4.0, 1.0]), np.diag([2.0, 1.0]))
         assert_allclose(w, [1.0, 2.0], rtol=1e-14)
 
     def test_against_inverse_sqrt_reduction(self, rng):
         a = random_spd(rng, 5)
         b = random_spd(rng, 5)
-        w, v = gen_sym_eig(a, b)
+        w, v = gen_sym_eig(a, b), pencil_eig(a, b)[1]
         r = inv_sqrt(b).entries
         w_ref, _ = sym_eig(r @ a @ r)
         assert_allclose(w, w_ref, rtol=1e-10, atol=1e-12)
         assert_allclose(v.T @ b @ v, np.eye(5), atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_are_the_vector_oracles_bit_for_bit(self, seed):
+        # the reduced matrix is positive definite, so sym_eigvals and
+        # sym_eig take the same values-only SVD of the same factor; the
+        # graded pencil shares its grading, as the moment pencils do
+        rng = np.random.default_rng(seed)
+        for n in (2, 6, 12, 30):
+            d = grading(rng, n)
+            for a, b in ((random_spd(rng, n), random_spd(rng, n)), (graded_spd(rng, d), graded_spd(rng, d))):
+                w = gen_sym_eig(a, b)
+                assert w.shape == (n,)
+                assert np.array_equal(w, pencil_eig(a, b)[0])
+        assert gen_sym_eig(np.empty((0, 0)), np.empty((0, 0))).shape == (0,)
 
     def test_sorted_cholesky_factors_the_sorted_matrix(self, rng):
         scale = np.logspace(0, 5, 6)
@@ -345,7 +358,7 @@ class TestRelativeAccuracy:
         a = graded_spd(rng, d)
         b = graded_spd(rng, d)
         exact = mp_oracle.pencil_values(a, b, ORACLE_DPS)
-        w, _ = gen_sym_eig(a, b)
+        w = gen_sym_eig(a, b)
         assert np.max(np.abs(w - exact) / exact) <= 1e-12
 
     @pytest.mark.parametrize("seed", [6, 7])

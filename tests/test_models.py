@@ -10,6 +10,7 @@ from ritzbounds.defect import etas_schur, p_diagonal_split
 from ritzbounds.densela import cholesky_lower, gen_sym_eig
 from ritzbounds.errors import HypothesisError
 from ritzbounds.models import (
+    ALPHA_MIN,
     DEFAULT_ALPHA,
     fem_assemble,
     fem_ritz,
@@ -29,6 +30,7 @@ from ritzbounds.models import (
 
 import mp_oracle
 from conftest import span_e1
+from dense_oracles import pencil_eig
 
 PI = math.pi
 
@@ -254,7 +256,7 @@ class TestFemAssembly:
 
     def test_discrete_values_bound_exact_from_above(self):
         stiff, mass = fem_assemble(40)
-        values, _ = gen_sym_eig(stiff, mass)
+        values = gen_sym_eig(stiff, mass)
         lam1, _ = periodic_exact(0.2499, 1)
         assert values[0] > lam1
         assert values[1] > lam1
@@ -265,9 +267,14 @@ class TestFemAssembly:
         # pencil, with a double eigenvalue
         # 6 (1 - cos omega h) / (h^2 (2 + cos omega h)) - alpha, written with
         # 2 sin^2(omega h / 2) and evaluated in mpmath against cancellation
-        values, _ = gen_sym_eig(*fem_assemble(n))
+        values = gen_sym_eig(*fem_assemble(n))
         exact = np.sort([mp_oracle.p1_mode(k + 0.5, n, DEFAULT_ALPHA, 40) for k in range(n // 2) for _ in range(2)])
         assert np.max(np.abs(values - exact) / exact) <= 1e-9
+
+    @pytest.mark.parametrize("n", [16, 40, 160])
+    def test_values_are_the_vector_oracles_bit_for_bit(self, n):
+        pencil = fem_assemble(n)
+        assert np.array_equal(gen_sym_eig(*pencil), pencil_eig(*pencil)[0])
 
 
 class TestFemRitz:
@@ -287,7 +294,7 @@ class TestFemRitz:
 
     @pytest.mark.parametrize("n", [16, 40, 160])
     def test_closed_form_pair_matches_dense_pencil(self, n):
-        values, vectors = gen_sym_eig(*fem_assemble(n))
+        values, vectors = pencil_eig(*fem_assemble(n))
         _, mass = fem_assemble(n)
         rd = fem_ritz(n)
         assert_allclose(rd.mu, values[:2], rtol=1e-9)
@@ -387,6 +394,33 @@ class TestTableRow:
         assert lower <= middle + 2 * math.ulp(middle) and middle <= upper
         if n <= 10**5:
             assert lower <= middle
+
+    @pytest.mark.parametrize("n", [8, 40, 1000])
+    @pytest.mark.parametrize("alpha", [ALPHA_MIN, ALPHA_MIN + 0.1, -1.0, DEFAULT_ALPHA])
+    def test_matches_mpmath_down_to_the_shift_floor(self, n, alpha):
+        # the alias sums cancel as alpha falls; at the floor every column
+        # still holds 1e-12 (below it, N=8 misses by 1.5e-12 at -1e5)
+        expected = mp_oracle.table1_row(n, alpha, 60)
+        lower, middle, upper = row = table1_row(n, alpha)
+        assert_allclose(row, expected, rtol=1e-12, atol=0)
+        assert lower <= middle <= upper
+
+    @pytest.mark.parametrize("alpha", [-1e5, -1e16, -1e17, -1.4e154, -1e200])
+    def test_refuses_shift_below_the_floor(self, alpha):
+        # unguarded, the moments miss by 1.5e-12 at -1e5 and lose every
+        # digit by -1e16 (lower = upper = 0); from -1.4e154 mu**2 overflows
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be at least {ALPHA_MIN:g}")) as err:
+            table1_row(8, alpha)
+        assert err.type is ValueError
+
+    @pytest.mark.parametrize("n", [40, 1000])
+    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, -8190.123456789])
+    def test_upper_column_takes_the_exact_gap(self, n, alpha):
+        # upper = lower lambda_3 / (lambda_3 - lambda_1) and lambda_3 -
+        # lambda_1 = 2; near -8190 the two eigenvalues round across a
+        # binade and their difference misses 2 by 4.5e-13 relative
+        lower, _, upper = table1_row(n, alpha)
+        assert upper / lower == pytest.approx((2.25 - alpha) / 2, rel=8 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize(

@@ -80,8 +80,9 @@ CLI_INPUTS = {
 _BOUNDS = ("bounds", "--matrix", "inputs/h.txt", "--subspace", "inputs/u.txt")
 
 #: The argv lists ``cli DIR`` runs, in order: every subcommand, its
-#: formats, error exits and negative numbers in e-notation; ``bounds`` on
-#: each reader error of ``CLI_INPUTS`` and on a missing file.
+#: formats, error exits and negative numbers in e-notation;
+#: ``fem-periodic`` at the least shift it admits and below it; ``bounds``
+#: on each reader error of ``CLI_INPUTS`` and on a missing file.
 CLI_INVOCATIONS = (
     ("kappa-demo",),
     ("kappa-demo", "--format", "csv", "--kappas", "10,1e3,1e7,1e9,1e150,1.3e154"),
@@ -102,6 +103,8 @@ CLI_INVOCATIONS = (
     ("fem-periodic", "--alpha=-1e-3"),
     ("fem-periodic", "--alpha", "-1e-3"),
     ("fem-periodic", "--alpha", "-inf"),
+    ("fem-periodic", "--n-list", "8,40", "--alpha=-1e4"),
+    ("fem-periodic", "--n-list", "8", "--alpha=-1e5"),
     ("verify",),
     ("verify", "--seed", "0"),
     ("verify", "--seed", "5"),
